@@ -1,11 +1,13 @@
 """Shared helpers for the benchmark harness.
 
 Every ``bench_*.py`` file regenerates one table or figure of the paper
-(see DESIGN.md's experiment index): it computes the same rows/series
-the paper reports, prints them (run with ``-s`` to see the output, or
-read ``EXPERIMENTS.md`` for the recorded values), asserts the *shape*
-claims (who wins, orderings, rough factors) and times the computation
-under ``pytest-benchmark``.
+(its module docstring names which, and the claim it checks): it
+computes the same rows/series the paper reports, prints them (run with
+``-s`` to see the output), asserts the *shape* claims (who wins,
+orderings, rough factors) and times the computation under
+``pytest-benchmark``.  ``run_all.py`` runs the whole suite; the perf
+benches record their numbers in ``BENCH_*.json`` through
+:func:`record_bench`.
 """
 
 from __future__ import annotations

@@ -135,31 +135,31 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
     arr = xp.asarray(stacked)
     n, ncols = arr.shape
     if n and ncols and np.issubdtype(np.dtype(arr.dtype), np.integer):
-        mins = to_host(arr.min(axis=0))
-        maxs = to_host(arr.max(axis=0))
-        # per-column spans as exact Python ints: the shifted values are
+        cols = [arr[:, j] for j in range(ncols)]
+        # per-column bounds as exact Python ints: the shifted values are
         # non-negative and the bit-width check can't itself overflow
-        spans = [int(hi) - int(lo) for lo, hi in zip(mins, maxs)]
+        mins = [int(c.min()) for c in cols]
+        spans = [int(c.max()) - lo for c, lo in zip(cols, mins)]
         bits = [max(s.bit_length(), 1) for s in spans]
         if sum(bits) <= 63:
-            shifted = arr - xp.asarray(mins.astype(np.int64))
-            keys = shifted[:, 0].astype(xp.int64)
+            # int64 shifts (wrap-safe: every shifted value fits)
+            lows = [np.int64(lo) for lo in mins]
+            keys = cols[0].astype(xp.int64) - lows[0]
             for j in range(1, ncols):
-                keys = (keys << bits[j]) | shifted[:, j]
+                keys <<= bits[j]
+                keys |= cols[j] - lows[j]
             if return_inverse:
                 ukeys, inverse, counts = xp.unique(
                     keys, return_inverse=True, return_counts=True
                 )
             else:
                 ukeys, counts = xp.unique(keys, return_counts=True)
-            cols = []
+            # column-major, like the extraction arrays it is built from
+            uniq = xp.empty((ncols, ukeys.shape[0]), dtype=xp.int64).T
             for j in range(ncols - 1, 0, -1):
-                cols.append(ukeys & ((1 << bits[j]) - 1))
+                uniq[:, j] = (ukeys & ((1 << bits[j]) - 1)) + lows[j]
                 ukeys = ukeys >> bits[j]
-            cols.append(ukeys)
-            uniq = xp.stack(cols[::-1], axis=1) + xp.asarray(
-                mins.astype(np.int64)
-            )
+            uniq[:, 0] = ukeys + lows[0]
             if return_inverse:
                 return (
                     to_host(uniq),
@@ -181,6 +181,17 @@ def unique_rows(stacked: np.ndarray, return_inverse: bool = False):
         return to_host(uniq), to_host(counts), np.asarray(to_host(inverse)).ravel()
     uniq, counts = xp.unique(arr, axis=0, return_counts=True)
     return to_host(uniq), to_host(counts)
+
+
+def rows_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise equality of two ``(n, k)`` matrices as an ``(n,)`` bool
+    mask, compared column by column — a few full-length elementwise
+    passes instead of a reduction along the short row axis, which
+    NumPy runs several times slower on tall matrices."""
+    eq = np.ones(a.shape[0], dtype=bool)
+    for j in range(a.shape[1]):
+        eq &= a[:, j] == b[:, j]
+    return eq
 
 
 def segment_max(values: np.ndarray, segment_ids: np.ndarray, n_segments: int):
@@ -209,21 +220,6 @@ def segment_max(values: np.ndarray, segment_ids: np.ndarray, n_segments: int):
         out = np.zeros(n_segments, dtype=np.asarray(vals).dtype)
         np.maximum.at(out, to_host(segment_ids), vals)
         return out
-
-
-def weighted_bincount(
-    keys: np.ndarray, weights: np.ndarray, minlength: int
-) -> np.ndarray:
-    """``np.bincount(keys, weights, minlength)`` on the active backend,
-    result on host — the load-accumulation primitive of the fused
-    segmented pricing kernel (float64 sums; callers guard exactness)."""
-    xp = array_namespace()
-    if xp is np:
-        return np.bincount(keys, weights=weights, minlength=minlength)
-    out = xp.bincount(  # pragma: no cover - device backends only
-        xp.asarray(keys), weights=xp.asarray(weights), minlength=minlength
-    )
-    return to_host(out)  # pragma: no cover
 
 
 def backend_stats() -> Dict[str, object]:

@@ -16,25 +16,30 @@ the phenomena the paper measures — serial conflicts on shared links —
 without modelling flit-level detail (the event-driven simulator in
 :mod:`repro.machine.eventsim` cross-checks it).
 
-:func:`phase_time` is vectorized: routes come from the per-mesh
+The production kernel, :func:`phase_times_segmented`, prices many
+phases at once in closed form: every leg of a dimension-order route is
+a contiguous interval of links, so per-link loads follow from each
+leg's two end points (a sort and a running sum) without building any
+route.  The per-phase :func:`phase_time` / :func:`phase_time_arrays`
+take routes from the per-mesh
 :class:`~repro.machine.routecache.RouteCache` as integer link-id
-arrays and the link-load accumulation is a single ``np.bincount`` over
-all messages of the phase.  The original per-element implementation is
-kept as :func:`phase_time_python` — it is the baseline the perf-core
-benchmark measures against, and a cross-check that vectorization
-changed nothing (the two are bit-identical; see
-``tests/machine/test_routecache.py``).
+arrays and accumulate loads with one ``np.bincount`` per phase.  The
+original per-element implementation is kept as
+:func:`phase_time_python` — the baseline the perf-core benchmark
+measures against, and the oracle all three are bit-identical to (see
+``tests/machine/test_routecache.py`` and
+``tests/machine/test_closed_form_loads.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .backend import segment_max, unique_rows, weighted_bincount
-from .routecache import gather_route_ids, max_link_load, route_cache_for
+from .backend import rows_equal, segment_max, unique_rows
+from .routecache import max_link_load, route_cache_for
 from .topology import Link, Mesh2D, Message
 
 
@@ -155,7 +160,7 @@ def phase_time_arrays(
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
-    nonlocal_mask = np.any(senders != receivers, axis=1)
+    nonlocal_mask = ~rows_equal(senders, receivers)
     local = int(senders.shape[0] - nonlocal_mask.sum())
     if local:
         senders = senders[nonlocal_mask]
@@ -213,18 +218,13 @@ class SegmentedPhaseReport:
     def report(self, i: int) -> PhaseReport:
         return PhaseReport(
             time=float(self.times[i]),
-            max_link_load=int(self.max_link_load[i]),
-            max_hops=int(self.max_hops[i]),
-            max_msgs_per_sender=int(self.max_msgs_per_sender[i]),
-            total_messages=int(self.total_messages[i]),
-            total_volume=int(self.total_volume[i]),
-            local_messages=int(self.local_messages[i]),
+            **{f: int(getattr(self, f)[i]) for f in _INT_FIELDS},
         )
 
 
-#: dense per-(phase, link) load matrices are capped at this many cells;
-#: larger phase x link products take the compressed-key path instead
-_DENSE_LOAD_CELLS = 1 << 22
+#: the integer per-segment fields (all but ``times``)
+_INT_FIELDS = tuple(f.name for f in fields(SegmentedPhaseReport)[1:])
+
 
 #: float64 integer arithmetic is exact below this (same bound as
 #: :func:`~repro.machine.routecache.max_link_load`)
@@ -232,30 +232,65 @@ _EXACT_F64 = 2 ** 53
 
 
 def _segmented_exact_fallback(
-    mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases
+    mesh, senders, receivers, sizes, phase_ids, params, n_phases
 ) -> "SegmentedPhaseReport":
     """Pathological-magnitude fallback: price each segment through the
     per-phase :func:`phase_time_arrays` exact path and stack the
     reports (bit-identical at any magnitude, never fast)."""
-    reports = []
-    for s in range(n_phases):
-        m = phase_ids == s
-        reports.append(
-            phase_time_arrays(
-                mesh, senders[m], receivers[m], sizes[m], params, cache
-            )
-        )
+    reports = [
+        phase_time_arrays(mesh, senders[m], receivers[m], sizes[m], params)
+        for m in (phase_ids == s for s in range(n_phases))
+    ]
     return SegmentedPhaseReport(
         times=np.array([r.time for r in reports], dtype=np.float64),
-        max_link_load=np.array([r.max_link_load for r in reports], dtype=np.int64),
-        max_hops=np.array([r.max_hops for r in reports], dtype=np.int64),
-        max_msgs_per_sender=np.array(
-            [r.max_msgs_per_sender for r in reports], dtype=np.int64
-        ),
-        total_messages=np.array([r.total_messages for r in reports], dtype=np.int64),
-        total_volume=np.array([r.total_volume for r in reports], dtype=np.int64),
-        local_messages=np.array([r.local_messages for r in reports], dtype=np.int64),
+        **{
+            f: np.array([getattr(r, f) for r in reports], dtype=np.int64)
+            for f in _INT_FIELDS
+        },
     )
+
+
+def _flat(dims, cols) -> np.ndarray:
+    """Row-major flat index of the coordinate columns ``cols`` on a
+    grid of side lengths ``dims`` (Horner form)."""
+    out = cols[0]
+    for n, c in zip(dims[1:], cols[1:]):
+        out = out * n + c
+    return out
+
+
+def _leg_intervals(dims, src, dst):
+    """Every route leg as a half-open interval of a leg-contiguous link
+    numbering: ``(starts, lens, num_links)``, one array per leg, given
+    the endpoints' coordinate columns ``src``/``dst``.
+
+    Injection/ejection at flat node ``f`` are links ``f``/``N + f``.
+    Then each axis ``a`` has a block per direction (+, then -) in which
+    the link between positions ``x`` and ``x + 1`` of the line through
+    the other coordinates ``o`` is ``flat(o) * (n_a - 1) + x``.  Routes
+    move the last axis first, so along axis ``a`` the other
+    coordinates are ``dst``'s above ``a`` and ``src``'s below it, and
+    the leg is ``[min(s_a, d_a), max(s_a, d_a))`` of that line.
+    """
+    n_nodes = 1
+    for n in dims:
+        n_nodes *= n
+    starts = [_flat(dims, src), n_nodes + _flat(dims, dst)]
+    lens = [1, 1]
+    base = 2 * n_nodes
+    for a, n in enumerate(dims):
+        block = (n_nodes // n) * (n - 1)
+        other = _flat(dims[:a] + dims[a + 1:], src[:a] + dst[a + 1:])
+        delta = dst[a] - src[a]
+        starts.append(
+            base
+            + block * (delta < 0)
+            + other * (n - 1)
+            + np.minimum(src[a], dst[a])
+        )
+        lens.append(np.abs(delta))
+        base += 2 * block
+    return starts, lens, base
 
 
 def phase_times_segmented(
@@ -265,39 +300,30 @@ def phase_times_segmented(
     sizes: np.ndarray,
     phase_ids: np.ndarray,
     params: CostParams,
-    cache=None,
     n_phases: Optional[int] = None,
 ) -> SegmentedPhaseReport:
     """Fused :func:`phase_time_arrays` over many phases in one call.
 
-    All messages of all phases enter together: ``senders``/``receivers``
-    are ``(n, rank)`` int64 coordinate rows, ``sizes`` the message
-    sizes, and ``phase_ids`` an int64 segment column assigning each row
-    to its phase (ids in ``[0, n_phases)``; segments may be empty).
-    One kernel prices every segment:
+    ``senders``/``receivers`` are ``(n, rank)`` int64 coordinate rows,
+    ``sizes`` the message sizes and ``phase_ids`` each row's segment in
+    ``[0, n_phases)`` (segments may be empty).  Every segment is priced
+    in closed form, without building a route:
 
-    * per-link loads come from a single weighted ``bincount`` over the
-      combined key ``phase_id * num_links + link_id``, with the link
-      ids of all routes gathered at once from the route cache
-      (:func:`~repro.machine.routecache.gather_route_ids`);
-    * per-segment max-fanout / max-hops / max-load are scatter-max
-      (``np.maximum.at``-style) reductions;
-    * the :class:`CostParams` cost formula evaluates vectorized across
-      all segments.
+    * each route leg is a contiguous link interval
+      (:func:`_leg_intervals`), so a message adds ``+size`` at each
+      leg's start and ``-size`` just past its end, keyed by
+      ``phase * (num_links + 1) + link``; one sort and one ``cumsum``
+      give every loaded link's load, and a per-segment max the
+      bottleneck — exact, as the max does not depend on the link
+      numbering.  The work is O(messages * rank), not O(total hops);
+    * hops are ``|dst - src|_1``, fan-out a count per (phase, sender).
 
-    Bit-identical to calling :func:`phase_time_arrays` once per segment
-    (property-tested in ``tests/runtime/test_segmented_pricing.py``):
-    every sum stays in exact float64 integer range — the conservative
-    magnitude guard falls back to the per-phase exact path otherwise —
-    and the final ``alpha*fanout + beta*load + gamma*hops`` arithmetic
-    performs the same IEEE operations in the same order.  The group-by
-    and scatter reductions route through the
-    ``REPRO_PRICE_BACKEND`` array namespace
-    (:mod:`repro.machine.backend`), so the CuPy knob covers this hot
-    path too.
+    Bit-identical to :func:`phase_time_arrays` per segment (tested in
+    ``tests/machine/test_closed_form_loads.py``): loads are int64 sums,
+    volumes float64 sums kept exact by the magnitude guard — beyond it
+    the per-phase exact path runs — and the cost formula performs the
+    same IEEE operations in the same order.
     """
-    if cache is None:
-        cache = route_cache_for(mesh)
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -305,81 +331,66 @@ def phase_times_segmented(
     n = senders.shape[0]
     if n_phases is None:
         n_phases = int(phase_ids.max()) + 1 if n else 0
-    zeros_i = np.zeros(n_phases, dtype=np.int64)
-    if n == 0 or n_phases == 0:
-        return SegmentedPhaseReport(
-            times=np.zeros(n_phases, dtype=np.float64),
-            max_link_load=zeros_i,
-            max_hops=zeros_i.copy(),
-            max_msgs_per_sender=zeros_i.copy(),
-            total_messages=zeros_i.copy(),
-            total_volume=zeros_i.copy(),
-            local_messages=zeros_i.copy(),
-        )
-
-    nonlocal_mask = np.any(senders != receivers, axis=1)
-    local_messages = np.bincount(
-        phase_ids[~nonlocal_mask], minlength=n_phases
-    ).astype(np.int64)
-    if not nonlocal_mask.all():
-        senders = senders[nonlocal_mask]
-        receivers = receivers[nonlocal_mask]
-        sizes = sizes[nonlocal_mask]
-        phase_ids = phase_ids[nonlocal_mask]
-    remote = senders.shape[0]
+    local_messages = np.zeros(n_phases, dtype=np.int64)
+    remote = 0
+    if n and n_phases:
+        nonlocal_mask = ~rows_equal(senders, receivers)
+        remote = int(np.count_nonzero(nonlocal_mask))
+        if remote < n:
+            local_messages = np.bincount(
+                phase_ids[~nonlocal_mask], minlength=n_phases
+            )
+            senders = senders[nonlocal_mask]
+            receivers = receivers[nonlocal_mask]
+            sizes = sizes[nonlocal_mask]
+            phase_ids = phase_ids[nonlocal_mask]
     if remote == 0:
-        return SegmentedPhaseReport(
-            times=np.zeros(n_phases, dtype=np.float64),
-            max_link_load=zeros_i,
-            max_hops=zeros_i.copy(),
-            max_msgs_per_sender=zeros_i.copy(),
-            total_messages=zeros_i.copy(),
-            total_volume=zeros_i.copy(),
-            local_messages=local_messages,
-        )
+        empty = {f: np.zeros(n_phases, dtype=np.int64) for f in _INT_FIELDS}
+        empty["local_messages"] = local_messages
+        return SegmentedPhaseReport(times=np.zeros(n_phases), **empty)
 
-    hops = np.abs(receivers - senders).sum(axis=1)
-    # conservative exactness bound on every float64 partial sum (per
-    # (phase, link) load, per-phase volume); the max possible hop count
-    # bounds the route lengths without materializing them first
+    starts, lens, num_links = _leg_intervals(
+        tuple(mesh.dims), list(senders.T), list(receivers.T)
+    )
+    hops = sum(lens[2:])
+    # conservative exactness bound on the float64 volume sums (and,
+    # with room to spare, on the int64 load sums)
     max_size = int(sizes.max())
     max_route = int(hops.max()) + 2
     if max_size < 0 or max_size * max_route * remote > _EXACT_F64:
-        return _segmented_exact_fallback(
-            mesh, senders, receivers, sizes, phase_ids, params, cache, n_phases
+        srep = _segmented_exact_fallback(
+            mesh, senders, receivers, sizes, phase_ids, params, n_phases
         )
+        srep.local_messages = local_messages  # dropped rows above
+        return srep
 
-    total_messages = np.bincount(phase_ids, minlength=n_phases).astype(np.int64)
-    total_volume = weighted_bincount(
-        phase_ids, sizes.astype(np.float64), n_phases
+    total_messages = np.bincount(phase_ids, minlength=n_phases)
+    total_volume = np.bincount(
+        phase_ids, weights=sizes.astype(np.float64), minlength=n_phases
     ).astype(np.int64)
     max_hops = segment_max(hops, phase_ids, n_phases)
 
-    # max messages per sender, per segment: one group-by over the
-    # (phase, sender) key, then a scatter-max of the group counts
-    fan_rows = np.concatenate((phase_ids[:, None], senders), axis=1)
-    ufan, fan_counts = unique_rows(fan_rows)
-    max_fanout = segment_max(fan_counts.astype(np.int64), ufan[:, 0], n_phases)
+    fan_keys, fan_counts = np.unique(
+        phase_ids * mesh.size + starts[0], return_counts=True
+    )
+    max_fanout = segment_max(fan_counts, fan_keys // mesh.size, n_phases)
 
-    # bottleneck link load per segment: one weighted bincount over the
-    # combined (phase, link) key
-    flat_ids, lens = gather_route_ids(cache, senders, receivers)
-    num_links = cache.num_links
-    keys = np.repeat(phase_ids, lens) * num_links + flat_ids
-    weights = np.repeat(sizes, lens).astype(np.float64)
-    if n_phases * num_links <= _DENSE_LOAD_CELLS:
-        loads = weighted_bincount(keys, weights, n_phases * num_links)
-        max_load = (
-            loads.reshape(n_phases, num_links).max(axis=1).astype(np.int64)
-        )
-    else:
-        ukeys, inv = np.unique(keys, return_inverse=True)
-        sums = weighted_bincount(
-            np.asarray(inv).ravel(), weights, ukeys.shape[0]
-        )
-        max_load = segment_max(
-            sums.astype(np.int64), ukeys // num_links, n_phases
-        )
+    # after sorting, the running sum at the last entry of each run of
+    # equal keys is the load of the links from that key to the next;
+    # each phase's entries sum to zero, so the sum restarts per phase
+    # (and the final run, always zero, is skipped)
+    stride = num_links + 1  # an interval may end just past the last link
+    base = phase_ids * stride
+    keys = np.concatenate(
+        [base + s for s in starts] + [base + s + w for s, w in zip(starts, lens)]
+    )
+    order = np.argsort(keys)
+    keys = keys[order]
+    running = np.cumsum(
+        np.concatenate([sizes] * len(starts) + [-sizes] * len(starts))[order]
+    )
+    ends = np.flatnonzero(keys[1:] != keys[:-1])
+    max_load = segment_max(running[ends], keys[ends] // stride, n_phases)
 
     times = (
         params.alpha * max_fanout.astype(np.float64)

@@ -15,6 +15,15 @@ With ids in hand the analytic contention bound becomes one
 ``np.bincount`` over all messages of a phase, and the event simulator's
 per-link dict probes become array ``max`` / assignment over id slices.
 
+The cache serves only the per-phase paths —
+:func:`~repro.machine.contention.phase_time`,
+:func:`~repro.machine.contention.phase_time_arrays` and
+:class:`~repro.machine.eventsim.EventSimulator`.  The fused pricing
+kernel (:func:`~repro.machine.contention.phase_times_segmented`) builds
+no routes: every leg of a dimension-order route is a contiguous
+interval of its own leg-contiguous link numbering, so it prices link
+loads from interval end points alone.
+
 Link-id layout for a ``p x q`` :class:`~repro.machine.topology.Mesh2D`
 (``N = p*q`` nodes, ``H = p*(q-1)`` horizontal and ``V = (p-1)*q``
 vertical mesh channels per direction):
@@ -324,49 +333,6 @@ def max_link_load(cache: _BaseRouteCache, id_arrays, sizes) -> int:
         for i in ids.tolist():
             acc[i] = acc.get(i, 0) + size
     return max(acc.values(), default=0)
-
-
-def gather_route_ids(
-    cache: _BaseRouteCache, senders: np.ndarray, receivers: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Link ids of every ``(senders[i], receivers[i])`` route as one
-    ragged gather: ``(flat_ids, lens)`` where ``lens[i]`` is route ``i``'s
-    length and ``flat_ids`` is the concatenation of all routes in
-    message order.
-
-    The fused pricing kernel's route lookup: instead of probing the
-    cache once per message (the per-phase Python loop this replaces),
-    the endpoint pairs are deduplicated once — ``unique_rows`` on the
-    packed int64 fast path — the cache is probed once per *unique*
-    pair, and each message's id slice is materialized by one vectorized
-    gather over the unique routes.
-    """
-    from .backend import unique_rows
-
-    n = senders.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    rank = senders.shape[1]
-    pairs = np.concatenate((senders, receivers), axis=1)
-    upairs, _counts, inverse = unique_rows(pairs, return_inverse=True)
-    routes = [
-        cache.link_ids(tuple(row[:rank]), tuple(row[rank:]))
-        for row in upairs.tolist()
-    ]
-    ulens = np.array([r.shape[0] for r in routes], dtype=np.int64)
-    ustarts = np.concatenate(([0], np.cumsum(ulens)))
-    uflat = (
-        np.concatenate(routes) if routes else np.empty(0, dtype=np.int64)
-    )
-    lens = ulens[inverse]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), lens
-    # ragged gather: for message i, rows ustarts[inverse[i]] ..+ lens[i]
-    offsets = np.repeat(ustarts[inverse], lens)
-    ends = np.cumsum(lens)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lens, lens)
-    return uflat[offsets + within], lens
 
 
 # ---------------------------------------------------------------------------

@@ -343,8 +343,8 @@ def execute(
             per_access[label] = st
         st.events += b.n
         virt_local, phys_local, send = b.locality_masks()
-        st.virtual_local += int(virt_local.sum())
-        st.phys_local += int(phys_local.sum())
+        st.virtual_local += int(np.count_nonzero(virt_local))
+        st.phys_local += int(np.count_nonzero(phys_local))
         if send.any():
             remaining.setdefault(label, []).append(b)
 
@@ -366,7 +366,7 @@ def execute(
                 total_time += t
             continue
         chunks = [
-            (b.times[b.locality_masks()[2]], b.send_pairs()) for b in blist
+            (b.send_times(), b.send_pairs()) for b in blist
         ]
         if not vec and len({t.shape[1] for t, _ in chunks}) > 1:
             for t in _price_label_mixed(
@@ -459,7 +459,7 @@ def execute_group(
         # virtual-locality mask is computed once and seeded into every
         # cell's batch before its (per-cell) physical masks
         virt_local = b0.virtual_local_mask()
-        n_virt_local = int(virt_local.sum())
+        n_virt_local = int(np.count_nonzero(virt_local))
         for k in range(K):
             b = batch_lists[k][bi]
             st = per_access[k].get(label)
@@ -472,7 +472,7 @@ def execute_group(
             st.virtual_local += n_virt_local
             b.__dict__.setdefault("_virt_local", virt_local)
             _, phys_local, send = b.locality_masks()
-            st.phys_local += int(phys_local.sum())
+            st.phys_local += int(np.count_nonzero(phys_local))
             if send.any():
                 remaining.setdefault(
                     label, [[] for _ in range(K)]
@@ -492,7 +492,7 @@ def execute_group(
                 if not per_cell[k]:
                     continue
                 chunks = [
-                    (b.times[b.locality_masks()[2]], b.send_pairs())
+                    (b.send_times(), b.send_pairs())
                     for b in per_cell[k]
                 ]
                 for t in _price_label_mixed(
@@ -508,13 +508,10 @@ def execute_group(
         tw = 0 if vec else widths.pop()
         for k in range(K):
             for b in per_cell[k]:
-                pairs = b.send_pairs()
-                cols = [np.full((pairs.shape[0], 1), cell_ids[k])]
-                if not vec:
-                    cols.append(b.times[b.locality_masks()[2]])
-                cols.append(pairs)
-                blocks.append(np.concatenate(cols, axis=1))
-                n_events_cell[k] += pairs.shape[0]
+                rows = b.send_pairs() if vec else b.send_rows()
+                cell = np.full((rows.shape[0], 1), cell_ids[k])
+                blocks.append(np.concatenate((cell, rows), axis=1))
+                n_events_cell[k] += rows.shape[0]
         stacked = np.concatenate(blocks, axis=0)
         uniq, counts = unique_rows(stacked)
         if uniq.shape[0] == 0:
@@ -665,9 +662,7 @@ def count_nonlocal_virtual(program: MappedProgram) -> Dict[str, int]:
     for b in program.comm_batches():
         if b.n == 0:
             continue
-        moved = int(
-            np.any(b.sender_virtual != b.receiver_virtual, axis=1).sum()
-        )
+        moved = b.n - int(np.count_nonzero(b.virtual_local_mask()))
         if moved:
             out[b.access_label] = out.get(b.access_label, 0) + moved
     return out

@@ -21,9 +21,10 @@ in ``itertools.product`` order) filtered by the domain's vectorized
 membership mask (one int64 matmul against the half-space system; see
 :meth:`repro.ir.Domain.point_matrix`), so triangular/trapezoidal nests
 ride the same dense path and rectangular nests skip the mask entirely.
-Affine accesses and virtual placements are evaluated as single integer
-matmuls over the whole domain, and :class:`Folding` applies its modular
-arithmetic to whole coordinate columns at once
+Placements are single integer matmuls over the whole domain — an array
+owner one composed stage ``(M_x F) I + (M_x c + a_x)`` — giving
+column-major arrays, and :class:`Folding` applies its modular
+arithmetic to whole columns, once per distinct virtual array
 (:meth:`Folding.fold_array`).  The executor prices the pre-masked
 batches directly — it never re-enumerates a domain.  The arrays — one :class:`CommBatch` per
 access — feed the executor's group-by pricing directly; the original
@@ -48,7 +49,7 @@ from ..alignment import MappingResult
 from ..distribution import Distribution1D, make_1d
 from ..ir import AccessKind
 from ..linalg import IntMat
-from ..machine.backend import unique_rows
+from ..machine.backend import rows_equal, unique_rows
 
 Virtual = Tuple[int, ...]
 Phys = Tuple[int, ...]
@@ -268,7 +269,7 @@ def segments_from_sorted_unique(
     if prefix.shape[1] == 0:
         starts = np.array([0, u], dtype=np.int64)
     else:
-        change = np.nonzero(np.any(prefix[1:] != prefix[:-1], axis=1))[0]
+        change = np.flatnonzero(~rows_equal(prefix[1:], prefix[:-1]))
         starts = np.concatenate(([0], change + 1, [u])).astype(np.int64)
     n_events = np.add.reduceat(counts, starts[:-1]).astype(np.int64)
     return PhaseSegments(
@@ -316,7 +317,7 @@ class CommBatch:
         compiled nest — their virtual arrays are the same objects."""
         mask = self.__dict__.get("_virt_local")
         if mask is None:
-            mask = np.all(self.sender_virtual == self.receiver_virtual, axis=1)
+            mask = rows_equal(self.sender_virtual, self.receiver_virtual)
             self.__dict__["_virt_local"] = mask
         return mask
 
@@ -331,25 +332,40 @@ class CommBatch:
         if cached is None:
             virt_local = self.virtual_local_mask()
             nonlocal_mask = ~virt_local
-            phys_local = nonlocal_mask & np.all(
-                self.sender == self.receiver, axis=1
-            )
+            phys_local = nonlocal_mask & rows_equal(self.sender, self.receiver)
             send = nonlocal_mask & ~phys_local
             cached = (virt_local, phys_local, send)
             self.__dict__["_locality"] = cached
         return cached
 
+    def send_rows(self) -> np.ndarray:
+        """``time | sender | receiver`` rows of the surviving (send)
+        events, memoized; gathered column by column into a column-major
+        array (an index gather per column is several times faster than
+        a boolean row mask over the whole matrix)."""
+        rows = self.__dict__.get("_send_rows")
+        if rows is None:
+            send = np.flatnonzero(self.locality_masks()[2])
+            cols = [
+                a[:, j]
+                for a in (self.times, self.sender, self.receiver)
+                for j in range(a.shape[1])
+            ]
+            rows = np.empty((len(cols), send.shape[0]), dtype=np.int64)
+            for out, col in zip(rows, cols):
+                np.take(col, send, out=out)
+            rows = rows.T
+            self.__dict__["_send_rows"] = rows
+        return rows
+
+    def send_times(self) -> np.ndarray:
+        """``time`` columns of :meth:`send_rows`."""
+        return self.send_rows()[:, : self.times.shape[1]]
+
     def send_pairs(self) -> np.ndarray:
-        """``sender | receiver`` rows of the surviving (send) events,
-        concatenated columns — the executor's phase group-by input."""
-        pairs = self.__dict__.get("_send_pairs")
-        if pairs is None:
-            send = self.locality_masks()[2]
-            pairs = np.concatenate(
-                (self.sender[send], self.receiver[send]), axis=1
-            )
-            self.__dict__["_send_pairs"] = pairs
-        return pairs
+        """``sender | receiver`` columns of :meth:`send_rows` — the
+        executor's phase group-by input."""
+        return self.send_rows()[:, self.times.shape[1]:]
 
     def phase_partition(self, vectorizable: bool) -> PhaseSegments:
         """The batch's send events grouped into priced phases, in the
@@ -367,12 +383,14 @@ class CommBatch:
         hit = cache.get(vectorizable)
         if hit is not None:
             return hit
-        pairs = self.send_pairs()
-        if vectorizable:
-            seg = build_phase_segments(pairs)
+        tw = self.times.shape[1]
+        if vectorizable or tw == 0:
+            seg = build_phase_segments(self.send_pairs())
         else:
-            send = self.locality_masks()[2]
-            seg = build_phase_segments(pairs, self.times[send])
+            uniq, counts = unique_rows(self.send_rows())
+            seg = segments_from_sorted_unique(
+                uniq[:, tw:], counts, uniq[:, :tw]
+            )
         cache[vectorizable] = seg
         return seg
 
@@ -391,18 +409,20 @@ def _domain_matrix(stmt, params: Dict[str, int]) -> np.ndarray:
 
 def _affine_rows(idx: np.ndarray, mat: IntMat, off: Optional[IntMat]) -> np.ndarray:
     """Evaluate ``mat @ I + off`` for every domain row of ``idx`` in one
-    integer matmul: returns an ``(n, mat.nrows)`` array."""
-    out = idx @ mat.to_numpy().T
+    integer matmul: returns an ``(n, mat.nrows)`` column-major array
+    (``mat @ idx.T`` transposed — several times faster than
+    ``idx @ mat.T`` on tall ``idx``, and later stages read columns)."""
+    out = mat.to_numpy() @ idx.T
     if off is not None:
-        out = out + off.to_numpy().T
-    return out
+        out = out + off.to_numpy()
+    return out.T
 
 
 def _vector_bound_ok(idx: np.ndarray, *stages) -> bool:
     """Prove no int64 overflow is possible through the chained affine
     stages ``(mat, off)`` applied to ``idx`` (same style as the IntMat
     matmul fast-path bound).  Conservative: uses max-abs magnitudes."""
-    bound = int(abs(idx).max()) if idx.size else 0
+    bound = max(-int(idx.min()), int(idx.max())) if idx.size else 0
     for mat, off in stages:
         k = mat.ncols
         bound = k * mat.max_abs() * bound + (off.max_abs() if off is not None else 0)
@@ -524,9 +544,10 @@ class MappedProgram:
                 if not _vector_bound_ok(idx, (acc.F, acc.c), (m_x, a_x)):
                     cache[key] = None
                     return None
-                owner_v = _affine_rows(
-                    _affine_rows(idx, acc.F, acc.c), m_x, a_x
-                )
+                # one exact stage (M_x F) I + (M_x c + a_x): composed in
+                # IntMat arithmetic, and no partial sum of it exceeds
+                # the chained bound just proven
+                owner_v = _affine_rows(idx, m_x @ acc.F, m_x @ acc.c + a_x)
                 if acc.kind is AccessKind.READ:
                     sv, rv = owner_v, stmt_v
                 else:
@@ -552,6 +573,10 @@ class MappedProgram:
         if virtual is None:
             batches = self._batches_from_events(self.comm_events_python())
         else:
+            # a statement's placement array is shared by all of its
+            # accesses: fold each distinct virtual array once
+            distinct = {id(v): v for *_, sv, rv in virtual for v in (sv, rv)}
+            folded = {k: self._fold_batch(v) for k, v in distinct.items()}
             batches = [
                 CommBatch(
                     access_label=label,
@@ -559,8 +584,8 @@ class MappedProgram:
                     times=times,
                     sender_virtual=sv,
                     receiver_virtual=rv,
-                    sender=self._fold_batch(sv),
-                    receiver=self._fold_batch(rv),
+                    sender=folded[id(sv)],
+                    receiver=folded[id(rv)],
                 )
                 for label, stmt, times, sv, rv in virtual
             ]

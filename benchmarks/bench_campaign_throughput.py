@@ -334,47 +334,50 @@ def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
     )
 
 
-def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
-    """Fused segmented pricing kernels vs the per-phase baseline on the
-    reference grid: the two paths must write identical deterministic
-    records, and the fused run's wall, speedup and phase/kernel counts
-    land under ``fused_pricing`` — the attribution record for the
-    fully-cold throughput gate in ``test_cold_compile_disk_cache``."""
+def test_fused_pricing_vs_reference(tmp_path, benchmark):
+    """Fused segmented pricing on the reference grid against the
+    per-event reference: the production path and a per-task run priced
+    by ``execute_python`` must write identical deterministic records,
+    and the fused run's wall and phase/kernel counts land under
+    ``fused_pricing`` — the attribution record for the fully-cold
+    throughput gate in ``test_cold_compile_disk_cache``."""
     import cProfile
     import pstats
 
+    import repro.runtime
+    from repro.campaign import set_group_pricing
     from repro.obs import clear_spans, set_enabled, span_snapshot
-    from repro.runtime import set_segmented_pricing
 
     spec, tasks = _grid()
     meta = {"spec_digest": spec.digest()}
 
-    def run(name, *, fused):
+    def run(name):
         path = str(tmp_path / f"{name}.jsonl")
         clear_compile_cache()
         clear_baseline_cache()
-        prev = set_segmented_pricing(fused)
         t0 = time.perf_counter()
-        try:
-            outcome = run_campaign(
-                tasks, path, CampaignConfig(jobs=1), meta=meta
-            )
-        finally:
-            set_segmented_pricing(prev)
+        outcome = run_campaign(tasks, path, CampaignConfig(jobs=1), meta=meta)
         wall = time.perf_counter() - t0
         assert outcome.ok == len(tasks) and outcome.errors == 0
         _, results = RunStore(path).load()
         return results, wall
 
-    per_phase, per_phase_wall = run("per_phase", fused=False)
-    fused, fused_wall = run("fused", fused=True)
+    fused, fused_wall = run("fused")
+    fast = repro.runtime.execute
+    prev = set_group_pricing(False)
+    repro.runtime.execute = repro.runtime.execute_python
+    try:
+        reference, _ = run("reference")
+    finally:
+        repro.runtime.execute = fast
+        set_group_pricing(prev)
 
     # --- the gate: record-for-record byte identity ---------------------
-    assert set(fused) == set(per_phase)
+    assert set(fused) == set(reference)
     for tid in fused:
         assert canonical_json(
             fused[tid].deterministic_dict()
-        ) == canonical_json(per_phase[tid].deterministic_dict()), tid
+        ) == canonical_json(reference[tid].deterministic_dict()), tid
 
     # segment accounting: spans count *phases* (one exec.segmented span
     # per kernel launch, count = phases priced), the profile counts
@@ -401,15 +404,14 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
     for (_f, _l, name), (_cc, nc, *_rest) in pstats.Stats(
         prof
     ).stats.items():
-        if name in (
-            "phase_times_segmented", "_price_phase", "phase_time_arrays"
-        ):
+        if name in ("phase_times_segmented", "phase_time_arrays"):
             counts[name] = counts.get(name, 0) + nc
     kernel_launches = counts.get("phase_times_segmented", 0)
     assert kernel_launches > 0
     assert phases_priced >= kernel_launches
+    assert counts.get("phase_time_arrays", 0) == 0
 
-    benchmark(lambda: run("bench", fused=True))
+    benchmark(lambda: run("bench"))
 
     from _harness import record_bench
 
@@ -418,18 +420,13 @@ def test_fused_vs_per_phase_pricing(tmp_path, benchmark):
         {
             "seed": SEED,
             "tasks": len(tasks),
-            "per_phase_wall_seconds": round(per_phase_wall, 3),
             "fused_wall_seconds": round(fused_wall, 3),
-            "fused_speedup": round(
-                per_phase_wall / fused_wall if fused_wall else 0.0, 2
-            ),
             "fused_tasks_per_second": round(len(tasks) / fused_wall, 2),
             "phases_priced": phases_priced,
             "segmented_kernel_launches": kernel_launches,
             "phases_per_launch": round(
                 phases_priced / kernel_launches, 2
             ),
-            "per_phase_calls_on_fused_path": counts.get("_price_phase", 0),
             "phase_time_arrays_calls_on_fused_path": counts.get(
                 "phase_time_arrays", 0
             ),

@@ -73,10 +73,10 @@ not the compile stage, owns the cold profile — compile cumulative time
 below batched pricing and every Fraction-FM helper out of the top-10
 (exit 1 if either compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts the per-phase
-pricing entry points (``_price_phase`` / ``phase_time_arrays``) stay
-below ``PHASE_CALL_CEILING`` calls and ``phase_times_segmented``
-actually ran — the call-count record lands in the same artifact
-(``per_phase_pricing_calls`` / ``segmented_kernel_launches``).
+pricing entry point (``phase_time_arrays``) stays below
+``PHASE_CALL_CEILING`` calls and ``phase_times_segmented`` actually
+ran — the call-count record lands in the same artifact
+(``phase_time_arrays_calls`` / ``segmented_kernel_launches``).
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ SRC_DIR = os.path.join(os.path.dirname(BENCH_DIR), "src")
 #: hotspot rows kept in BENCH_profile.json
 PROFILE_TOP_N = 30
 
-#: ceiling on per-phase pricing entry calls (`_price_phase` +
-#: `phase_time_arrays`) in the reference profile — ~1,300 before the
-#: fused segmented kernels, ~0 after (the slack covers exact-magnitude
-#: fallbacks and custom-model duck-typing, not a path regression)
+#: ceiling on per-phase pricing calls (`phase_time_arrays`) in the
+#: reference profile — ~1,300 before the fused segmented kernels, ~0
+#: after (the slack covers exact-magnitude fallbacks, not a path
+#: regression)
 PHASE_CALL_CEILING = 48
 
 
@@ -167,7 +167,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     price_ct = by_name.get("price_group_batched", {}).get("cumtime_s", 0.0)
 
     # full-stats call counts (not just the top rows) for the fused
-    # pricing gate: per-phase pricing entry points vs kernel launches
+    # pricing gate: per-phase pricing calls vs kernel launches
     def _ncalls(fn_name: str) -> int:
         return sum(
             nc
@@ -175,7 +175,6 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             if name == fn_name
         )
 
-    per_phase_calls = _ncalls("_price_phase")
     phase_array_calls = _ncalls("phase_time_arrays")
     kernel_launches = _ncalls("phase_times_segmented")
 
@@ -194,10 +193,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "top_n": top_n,
             "compile_stage_cumtime_s": compile_ct,
             "pricing_stage_cumtime_s": price_ct,
-            "per_phase_pricing_calls": per_phase_calls,
             "phase_time_arrays_calls": phase_array_calls,
             "segmented_kernel_launches": kernel_launches,
-            "per_phase_pricing_call_ceiling": PHASE_CALL_CEILING,
+            "phase_time_arrays_call_ceiling": PHASE_CALL_CEILING,
             "hotspots": rows,
         },
     )
@@ -268,17 +266,16 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
         f"(compile {compile_ct:.3f}s < pricing {price_ct:.3f}s cumulative)"
     )
 
-    # the PR-10 regression gate: fused segmented pricing collapsed this
-    # scenario's ~1,300 per-phase pricing calls (`_price_phase` +
-    # `phase_time_arrays`) into a few hundred whole-label kernel
-    # launches.  The per-phase entry points must stay below a small
-    # constant — anything more means labels are leaking back onto the
-    # per-phase path (a fallback misfire or a dropped
-    # `time_phases_segmented` surface) and the cold-throughput gate in
-    # bench_campaign_throughput.py is living on borrowed time.
-    if per_phase_calls + phase_array_calls > PHASE_CALL_CEILING:
+    # fused segmented pricing collapsed this scenario's ~1,300
+    # per-phase pricing calls into a few hundred whole-label kernel
+    # launches.  Per-phase `phase_time_arrays` calls must stay below a
+    # small constant — anything more means phases are leaking back onto
+    # the per-phase kernel (an exact-magnitude fallback misfire) and the
+    # cold-throughput gate in bench_campaign_throughput.py is living on
+    # borrowed time.
+    if phase_array_calls > PHASE_CALL_CEILING:
         print(
-            f"FAIL: {per_phase_calls} _price_phase + {phase_array_calls} "
+            f"FAIL: {phase_array_calls} "
             "phase_time_arrays calls in the reference profile, above the "
             f"ceiling of {PHASE_CALL_CEILING} — fused segmented pricing "
             "has regressed to per-phase calls (see BENCH_profile.json)",
@@ -296,7 +293,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     print(
         "gate ok: fused pricing engaged "
         f"({kernel_launches} segmented kernel launches, "
-        f"{per_phase_calls + phase_array_calls} per-phase calls <= "
+        f"{phase_array_calls} phase_time_arrays calls <= "
         f"{PHASE_CALL_CEILING})"
     )
     return 0

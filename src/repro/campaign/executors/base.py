@@ -69,9 +69,6 @@ class ExecutorConfig:
     #: the parent's persistent compile-cache directory (disk tier);
     #: None leaves the worker's own env-derived setting untouched
     compile_cache_dir: Optional[str] = None
-    #: the parent's array backend name (``repro.machine.backend``);
-    #: None leaves the worker's own resolution untouched
-    price_backend: Optional[str] = None
     #: raw ``REPRO_FAULT_INJECT`` spec (None = injection off)
     fault_spec: Optional[str] = None
     #: the parent's tracing flag, passed through to workers the same
@@ -141,10 +138,6 @@ def init_worker(
         set_baseline_cache_size(config.baseline_cache_size)
     if config.compile_cache_dir is not None:
         set_compile_cache_dir(config.compile_cache_dir)
-    if config.price_backend is not None:
-        from ...machine.backend import set_price_backend
-
-        set_price_backend(config.price_backend)
     obs_tracing.set_enabled(config.trace)
     faults.activate(
         config.fault_spec, allow_kill=allow_kill, allow_hang=allow_hang

@@ -62,7 +62,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .._config import env_flag, env_int
+from .._config import env_int
 from ..obs import (
     TraceWriter,
     capture,
@@ -457,15 +457,6 @@ def _baseline_store(key: str, price: float) -> None:
             _baseline_cache.popitem(last=False)
 
 
-def _price_backend_name() -> str:
-    """The parent's resolved array backend, threaded through executor
-    worker init so spawn-context workers honour ``set_price_backend``
-    calls made after import (the env knob alone would be lost)."""
-    from ..machine.backend import price_backend
-
-    return price_backend()
-
-
 def _price_task(task: SweepTask, cw: _CompiledWorkload) -> TaskResult:
     """The price stage: fold the compiled nest onto the task's machine x
     mesh cell and cost both mappings.
@@ -500,6 +491,18 @@ def _price_task(task: SweepTask, cw: _CompiledWorkload) -> TaskResult:
             baseline_time = base_report.total_time
             _baseline_store(bkey, baseline_time)
 
+    return _ok_result(task, cw, report, baseline_time, bhit)
+
+
+def _ok_result(
+    task: SweepTask,
+    cw: _CompiledWorkload,
+    report,
+    baseline_time: float,
+    baseline_hit: bool,
+) -> TaskResult:
+    """The ``status="ok"`` record of one priced task (heuristic
+    ``report`` plus the baseline's total time)."""
     result = TaskResult(
         task_id=task.task_id,
         workload=task.workload.name,
@@ -516,7 +519,7 @@ def _price_task(task: SweepTask, cw: _CompiledWorkload) -> TaskResult:
         baseline_residuals=len(cw.baseline.optimized),
         baseline_time=baseline_time,
     )
-    result.baseline_cache_hit = bhit
+    result.baseline_cache_hit = baseline_hit
     return result
 
 
@@ -649,16 +652,18 @@ def crashed_result(
 # batched group pricing — one tensor op per compile-key group
 # ---------------------------------------------------------------------------
 
-#: process-local switch over the batched path (env default; flipped by
+#: process-local switch over the batched path (flipped by
 #: :func:`set_group_pricing`)
-_group_pricing_enabled: bool = env_flag("REPRO_PRICE_BATCH", default=True)
+_group_pricing_enabled: bool = True
 
 
 def set_group_pricing(enabled: bool) -> bool:
     """Enable/disable batched whole-group pricing in this process
-    (``REPRO_PRICE_BATCH`` is the environment default); returns the
-    previous setting.  The per-task path is always kept — batched and
-    per-cell prices are bit-identical (asserted in
+    (on by default); returns the previous setting.  Off prices every
+    task through :func:`_price_task`, which looks up
+    ``repro.runtime.execute`` at call time — the hook the reference
+    recording swaps ``execute_python`` into.  Batched and per-task
+    prices are bit-identical (asserted in
     ``tests/runtime/test_group_pricing.py``), so this switch only
     trades speed, never results."""
     global _group_pricing_enabled
@@ -695,11 +700,11 @@ def price_group_batched(
 
     Compiles each task through the ordinary LRU path (one miss + K-1
     hits, keeping the compile counters exactly as the per-task loop
-    would), stacks all K heuristic cells into one
+    would), prices all K heuristic cells in one
     :func:`repro.runtime.execute_group` call, then batches the
     baseline cells that miss the price memo into a second call.
-    Results are bit-identical to K per-cell ``execute()`` runs by
-    construction of ``execute_group``.
+    Results are bit-identical to K per-cell ``execute()`` runs
+    (``execute`` is the one-cell ``execute_group``).
 
     Returns ``None`` when the batched attempt cannot proceed — a cell
     raised, or LRU eviction split the group across compiled objects —
@@ -761,53 +766,12 @@ def price_group_batched(
     for (task, cw, hit), report, btime, bhit in zip(
         compiled, reports, btimes, bhits
     ):
-        result = TaskResult(
-            task_id=task.task_id,
-            workload=task.workload.name,
-            machine=task.machine,
-            mesh=task.mesh,
-            m=task.m,
-            rank_weights=task.rank_weights,
-            status="ok",
-            counts=cw.compiled.mapping.counts(),
-            residuals=len(cw.compiled.mapping.optimized),
-            total_time=report.total_time,
-            total_messages=report.total_messages,
-            total_volume=report.total_volume,
-            baseline_residuals=len(cw.baseline.optimized),
-            baseline_time=btime,
-        )
+        result = _ok_result(task, cw, report, btime, bhit)
         result.compile_cache_hit = hit
-        result.baseline_cache_hit = bhit
         result.seconds = seconds
         result.attempts = 1
         results.append(result)
     return results
-
-
-def _execute_task_group(
-    group: Sequence[SweepTask],
-    timeout: Optional[float] = None,
-    compile_cache_size: Optional[int] = None,
-) -> List[TaskResult]:
-    """Run one compile-key group in order (worker-side entry point).
-
-    All tasks of the group share a compile key, so the first task pays
-    the compile and the rest hit the worker's cache — error capture and
-    the wall-clock cap stay per task.  When :func:`group_pricing_allowed`
-    holds, the whole group is priced in one batched pass instead
-    (bit-identical results; per-task loop as fallback).
-    ``compile_cache_size`` is the parent's cache setting passed
-    *explicitly* so spawn-context workers (no fork inheritance) honour
-    ``set_compile_cache_size`` / ``REPRO_CAMPAIGN_COMPILE_CACHE``
-    values set after import."""
-    if compile_cache_size is not None and compile_cache_size != _compile_cache_size:
-        set_compile_cache_size(compile_cache_size)
-    if group_pricing_allowed(group, timeout):
-        results = price_group_batched(group)
-        if results is not None:
-            return results
-    return [execute_task(task, timeout=timeout) for task in group]
 
 
 @dataclass
@@ -1065,7 +1029,6 @@ def run_campaign(
             compile_cache_size=_compile_cache_size,
             baseline_cache_size=_baseline_cache_size,
             compile_cache_dir=_compile_cache_dir,
-            price_backend=_price_backend_name(),
             fault_spec=faults.active_spec(),
             trace=obs_tracing.is_enabled(),
         ),

@@ -22,7 +22,7 @@ from .ir import (
 )
 from .machine import MachineModel
 from .obs import span
-from .runtime import CommReport, Folding, MappedProgram, execute, execute_python
+from .runtime import CommReport, Folding, MappedProgram, execute
 
 
 @dataclass
@@ -59,18 +59,12 @@ class CompiledNest:
         machine: MachineModel,
         params: Dict[str, int],
         collectives=None,
-        python: bool = False,
         **kw,
     ) -> CommReport:
-        """Compile-and-run shortcut: price the communications.
-
-        ``python=True`` routes through the per-element reference
-        executor (:func:`repro.runtime.execute_python`) instead of the
-        vectorized one — the two are bit-identical; the flag exists for
-        baseline measurements and cross-checks.
-        """
-        runner = execute_python if python else execute
-        return runner(self.program(machine, params, **kw), machine, collectives=collectives)
+        """Compile-and-run shortcut: price the communications."""
+        return execute(
+            self.program(machine, params, **kw), machine, collectives=collectives
+        )
 
     def summary(self) -> str:
         from .report import format_mapping_summary

@@ -192,7 +192,18 @@ class LoopNest:
         if any(s.name == stmt.name for s in self.statements):
             raise ValueError(f"statement {stmt.name!r} already present")
         stmt.validate()
+        # the executor keys its per-access stats by this label, so it
+        # must name one access of the whole nest
+        labels = {
+            acc.label or f"{s.name}:{acc.array}"
+            for s in self.statements
+            for acc in s.accesses
+        }
         for a in stmt.accesses:
+            label = a.label or f"{stmt.name}:{a.array}"
+            if label in labels:
+                raise ValueError(f"duplicate access label {label!r}")
+            labels.add(label)
             if a.array not in self.arrays:
                 raise ValueError(f"access to undeclared array {a.array!r}")
             if self.arrays[a.array].dim != a.array_dim:

@@ -17,12 +17,6 @@
   :class:`T3DModel` and :class:`CM5Model` presets.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    array_namespace,
-    price_backend,
-    set_price_backend,
-)
 from .contention import (
     CostParams,
     PhaseReport,
@@ -83,10 +77,6 @@ __all__ = [
     "phase_times_segmented",
     "phased_time",
     "total_time",
-    "BACKEND_ENV",
-    "array_namespace",
-    "price_backend",
-    "set_price_backend",
     "EventSimulator",
     "MachineModel",
     "MachineSpec",

@@ -20,10 +20,14 @@ The production kernel, :func:`phase_times_segmented`, prices many
 phases at once in closed form: every leg of a dimension-order route is
 a contiguous interval of links, so per-link loads follow from each
 leg's two end points (a sort and a running sum) without building any
-route.  The per-phase :func:`phase_time` / :func:`phase_time_arrays`
-take routes from the per-mesh
-:class:`~repro.machine.routecache.RouteCache` as integer link-id
-arrays and accumulate loads with one ``np.bincount`` per phase.  The
+route.  It is the only kernel the runtime executor calls (through the
+machine presets' ``time_phases_segmented``).  The per-phase
+:func:`phase_time` / :func:`phase_time_arrays` take routes from the
+per-mesh :class:`~repro.machine.routecache.RouteCache` as integer
+link-id arrays and accumulate loads with one ``np.bincount`` per
+phase; they serve single-phase callers (the presets' ``time_phase``,
+which ``execute_python`` and ``time_general`` use) and the segmented
+kernel's exact-magnitude fallback.  The
 original per-element implementation is kept as
 :func:`phase_time_python` — the baseline the perf-core benchmark
 measures against, and the oracle all three are bit-identical to (see

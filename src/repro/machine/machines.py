@@ -69,8 +69,7 @@ class ParagonModel:
 
     def time_phase_arrays(self, senders, receivers, sizes) -> PhaseReport:
         """Array-native :meth:`time_phase` (endpoint coordinate
-        matrices, no ``Message`` objects) — the surface the batched
-        group executor probes for (duck-typed; bit-identical)."""
+        matrices, no ``Message`` objects; bit-identical)."""
         return phase_time_arrays(
             self.mesh, senders, receivers, sizes, self.params
         )
@@ -82,8 +81,8 @@ class ParagonModel:
         pricing call enter as one coordinate matrix plus an int64
         segment column and are priced by one kernel
         (:func:`~repro.machine.contention.phase_times_segmented`) —
-        the surface the segmented executor probes for (duck-typed;
-        bit-identical to per-phase pricing)."""
+        the executor's pricing call (bit-identical to per-phase
+        pricing)."""
         return phase_times_segmented(
             self.mesh, senders, receivers, sizes, phase_ids, self.params,
             n_phases=n_phases,

@@ -9,6 +9,10 @@ T3D-style 3-D, and any future backend — implements the same
 * ``time_phase(messages) -> PhaseReport`` — price one phase of
   simultaneous point-to-point messages;
 * ``time_phases(phases) -> float`` — price a sequence of phases;
+* ``time_phases_segmented(senders, receivers, sizes, phase_ids,
+  n_phases) -> SegmentedPhaseReport`` — price many phases given as one
+  coordinate matrix plus a segment column (the executor's pricing
+  call);
 * ``time_general(dists, t_mat, size) -> float`` — direct element-wise
   execution of a data-flow matrix;
 * ``time_decomposed(dists, factors, size) -> float`` — the factored
@@ -38,7 +42,7 @@ from typing import (
 )
 
 from ..report import format_mesh
-from .contention import CostParams, PhaseReport
+from .contention import CostParams, PhaseReport, SegmentedPhaseReport
 
 
 @runtime_checkable
@@ -52,6 +56,11 @@ class MachineModel(Protocol):
         ...
 
     def time_phases(self, phases) -> float:
+        ...
+
+    def time_phases_segmented(
+        self, senders, receivers, sizes, phase_ids, n_phases=None
+    ) -> SegmentedPhaseReport:
         ...
 
     def time_general(self, dists, t_mat, size: int = 1) -> float:

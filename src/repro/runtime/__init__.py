@@ -8,15 +8,12 @@ model.
 """
 
 from .executor import (
-    SEGMENTED_ENV,
     AccessCommStats,
     CommReport,
     count_nonlocal_virtual,
     execute,
     execute_group,
     execute_python,
-    segmented_pricing_enabled,
-    set_segmented_pricing,
 )
 from .mapping import (
     CommBatch,
@@ -40,7 +37,4 @@ __all__ = [
     "execute_group",
     "execute_python",
     "count_nonlocal_virtual",
-    "SEGMENTED_ENV",
-    "segmented_pricing_enabled",
-    "set_segmented_pricing",
 ]

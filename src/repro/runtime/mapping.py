@@ -222,56 +222,34 @@ class PhaseSegments:
 
 
 def build_phase_segments(
-    pairs: np.ndarray, times: Optional[np.ndarray] = None
+    rows: np.ndarray, time_width: int = 0
 ) -> PhaseSegments:
-    """Group raw ``(sender | receiver)`` event rows into the
+    """Group raw ``[time | sender | receiver]`` event rows (the first
+    ``time_width`` columns are the time vector) into the
     :class:`PhaseSegments` layout with **one** ``unique_rows`` call.
 
-    With ``times`` (one row per event), events group into one phase per
-    distinct time vector: the combined ``[time | pair]`` unique sorts
-    time-major, so segment boundaries are where the time prefix changes
-    — phases come out in ascending time order with lex-sorted unique
-    pairs and their multiplicities, exactly what a per-phase
-    ``np.unique`` group-by produced.  Without ``times`` (vectorizable
-    access, or a width-0 schedule) every event lands in one phase.
+    Events group into one phase per distinct time vector: the unique
+    sorts time-major, so segment boundaries are where the time prefix
+    changes — phases come out in ascending time order with lex-sorted
+    unique pairs and their multiplicities, exactly what a per-phase
+    ``np.unique`` group-by produced.  With ``time_width == 0``
+    (vectorizable access, or a width-0 schedule) every event lands in
+    one phase; no events means no phases.
     """
-    n = pairs.shape[0]
-    if times is None or times.shape[1] == 0:
-        upairs, counts = unique_rows(pairs)
-        return PhaseSegments(
-            pairs=upairs,
-            counts=counts,
-            starts=np.array([0, upairs.shape[0]], dtype=np.int64),
-            n_events=np.array([n], dtype=np.int64),
-        )
-    tw = times.shape[1]
-    stacked = np.concatenate((times, pairs), axis=1)
-    uniq, counts = unique_rows(stacked)
-    return segments_from_sorted_unique(uniq[:, tw:], counts, uniq[:, :tw])
-
-
-def segments_from_sorted_unique(
-    pairs: np.ndarray, counts: np.ndarray, prefix: np.ndarray
-) -> PhaseSegments:
-    """:class:`PhaseSegments` from already-uniqued rows: ``pairs`` and
-    ``counts`` sorted so that equal ``prefix`` rows (the phase key) are
-    contiguous.  Used directly by the batched group executor, which
-    uniques one ``[cell | time | pair]`` tensor for all K cells and
-    slices per-cell blocks out of it."""
+    uniq, counts = unique_rows(rows)
+    pairs = uniq[:, time_width:]
     u = pairs.shape[0]
     if u == 0:
-        return PhaseSegments(
-            pairs=pairs,
-            counts=counts,
-            starts=np.zeros(1, dtype=np.int64),
-            n_events=np.empty(0, dtype=np.int64),
-        )
-    if prefix.shape[1] == 0:
-        starts = np.array([0, u], dtype=np.int64)
+        starts = np.zeros(1, dtype=np.int64)
+        n_events = np.empty(0, dtype=np.int64)
     else:
-        change = np.flatnonzero(~rows_equal(prefix[1:], prefix[:-1]))
-        starts = np.concatenate(([0], change + 1, [u])).astype(np.int64)
-    n_events = np.add.reduceat(counts, starts[:-1]).astype(np.int64)
+        if time_width == 0:
+            starts = np.array([0, u], dtype=np.int64)
+        else:
+            prefix = uniq[:, :time_width]
+            change = np.flatnonzero(~rows_equal(prefix[1:], prefix[:-1]))
+            starts = np.concatenate(([0], change + 1, [u])).astype(np.int64)
+        n_events = np.add.reduceat(counts, starts[:-1]).astype(np.int64)
     return PhaseSegments(
         pairs=pairs, counts=counts, starts=starts, n_events=n_events
     )
@@ -289,7 +267,7 @@ class CommBatch:
     and the per-phase ``np.unique`` pair coalescing — are **memoized on
     the instance** (:meth:`locality_masks`, :meth:`phase_partition`):
     pricing the same program again (the heuristic-vs-baseline
-    comparison, bench reruns, the batched group path) reuses one
+    comparison, bench reruns) reuses one
     extraction instead of re-uniquing per call.  Batches are rebuilt
     whenever the mapping mutates (see
     :meth:`MappedProgram.comm_batches`), so the caches can never serve
@@ -313,7 +291,7 @@ class CommBatch:
 
     def virtual_local_mask(self) -> np.ndarray:
         """Rows local on the *virtual* grid (folding-independent), so
-        the batched group executor seeds it across the K cells of one
+        the group executor seeds it across the K cells of one
         compiled nest — their virtual arrays are the same objects."""
         mask = self.__dict__.get("_virt_local")
         if mask is None:
@@ -358,10 +336,6 @@ class CommBatch:
             self.__dict__["_send_rows"] = rows
         return rows
 
-    def send_times(self) -> np.ndarray:
-        """``time`` columns of :meth:`send_rows`."""
-        return self.send_rows()[:, : self.times.shape[1]]
-
     def send_pairs(self) -> np.ndarray:
         """``sender | receiver`` columns of :meth:`send_rows` — the
         executor's phase group-by input."""
@@ -383,14 +357,10 @@ class CommBatch:
         hit = cache.get(vectorizable)
         if hit is not None:
             return hit
-        tw = self.times.shape[1]
-        if vectorizable or tw == 0:
+        if vectorizable:
             seg = build_phase_segments(self.send_pairs())
         else:
-            uniq, counts = unique_rows(self.send_rows())
-            seg = segments_from_sorted_unique(
-                uniq[:, tw:], counts, uniq[:, :tw]
-            )
+            seg = build_phase_segments(self.send_rows(), self.times.shape[1])
         cache[vectorizable] = seg
         return seg
 

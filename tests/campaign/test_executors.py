@@ -256,19 +256,14 @@ class TestSpawnConfigPassthrough:
         assert outcome.baseline_cache_misses == len(tasks)
 
     def test_init_worker_applies_baseline_and_backend_knobs(self):
-        from repro.machine.backend import price_backend
-
         prev = baseline_cache_stats()["maxsize"]
         try:
             init_worker(
-                ExecutorConfig(
-                    baseline_cache_size=7, price_backend="numpy"
-                ),
+                ExecutorConfig(baseline_cache_size=7),
                 allow_kill=False,
                 allow_hang=False,
             )
             assert baseline_cache_stats()["maxsize"] == 7
-            assert price_backend() == "numpy"
         finally:
             set_baseline_cache_size(prev)
 

@@ -226,3 +226,35 @@ class TestMachinesSatellite:
 
         t1, t2 = T3DModel(2, 2, 2), T3DModel(2, 2, 2)
         assert t1.params is not t2.params
+
+
+class TestPerTaskPricingHook:
+    def test_per_task_path_prices_through_runtime_execute(
+        self, small_grid, tmp_path, monkeypatch
+    ):
+        """With group pricing off, every price goes through the
+        ``repro.runtime.execute`` name looked up at call time — the hook
+        that lets a campaign be priced by a reference executor."""
+        import repro.runtime
+        from repro.campaign import clear_baseline_cache, set_group_pricing
+
+        _, tasks = small_grid
+        calls = []
+        fast = repro.runtime.execute
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return fast(*args, **kwargs)
+
+        clear_baseline_cache()
+        prev = set_group_pricing(False)
+        try:
+            monkeypatch.setattr(repro.runtime, "execute", counted)
+            outcome = run_campaign(
+                tasks, str(tmp_path / "hooked.jsonl"), CampaignConfig(jobs=1)
+            )
+        finally:
+            set_group_pricing(prev)
+        assert outcome.ok == len(tasks)
+        # one heuristic price per task plus one per baseline-memo miss
+        assert len(calls) == len(tasks) + outcome.baseline_cache_misses

@@ -161,6 +161,43 @@ class TestBuilder:
         acc = b.build().statement("S").reads()[0]
         assert acc.label is not None
 
+    def test_duplicate_label_in_statement_rejected(self):
+        b = NestBuilder("ex")
+        b.array("a", 1).array("b", 1)
+        with pytest.raises(ValueError, match="duplicate access label 'X'"):
+            b.statement(
+                "S",
+                [("i", 0, 3)],
+                writes=[("a", [[1]], [0], "X")],
+                reads=[("b", [[1]], [0], "X")],
+            )
+
+    def test_duplicate_label_across_statements_rejected(self):
+        b = NestBuilder("ex")
+        b.array("a", 1).array("b", 1)
+        b.statement("S1", [("i", 0, 3)], reads=[("a", [[1]], [0], "X")])
+        with pytest.raises(ValueError, match="duplicate access label 'X'"):
+            b.statement("S2", [("i", 0, 3)], reads=[("b", [[1]], [0], "X")])
+        # the rejected statement was not added
+        assert [s.name for s in b.build().statements] == ["S1"]
+
+    def test_duplicate_default_label_rejected(self):
+        """Unlabelled accesses are named ``stmt:array`` — two reads of
+        one array in one statement need explicit labels."""
+        nest = LoopNest(name="t")
+        nest.declare_array("a", 1)
+        loops = [LoopDim("i", Bound.of(0), Bound.of(3))]
+        stmt = Statement(
+            name="S",
+            loops=loops,
+            accesses=[
+                read("a", [[1]]),
+                read("a", [[1]], [1]),
+            ],
+        )
+        with pytest.raises(ValueError, match="duplicate access label 'S:a'"):
+            nest.add_statement(stmt)
+
     def test_describe(self):
         b = NestBuilder("ex")
         b.array("a", 1)

@@ -1,11 +1,11 @@
-"""Fused segmented pricing vs the per-phase baseline.
+"""Fused segmented pricing vs per-phase and per-event references.
 
-The segmented kernel (`phase_times_segmented`) and the executor path
-that feeds it (`REPRO_SEGMENTED_PRICING` / `set_segmented_pricing`)
-must be **bit-identical** to per-phase pricing — every
-``CommReport``/``PhaseReport`` float compares exactly, over rectangular
-and triangular corpora, 2-D and 3-D machines, macro/collective labels,
-the batched ``execute_group`` path and the campaign store payloads.
+The segmented kernel (`phase_times_segmented`) must be
+**bit-identical** to per-phase `phase_time_arrays`, and the executor
+that feeds it (`execute` / `execute_group`) to the per-event reference
+`execute_python` — every ``CommReport``/``PhaseReport`` float compares
+exactly, over rectangular and triangular corpora, 2-D and 3-D machines,
+macro/collective labels and the campaign store payloads.
 """
 
 import hashlib
@@ -13,8 +13,16 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.runtime
 from repro import compile_nest
-from repro.campaign import CampaignConfig, RunStore, default_spec, run_campaign
+from repro.campaign import (
+    CampaignConfig,
+    RunStore,
+    clear_baseline_cache,
+    default_spec,
+    run_campaign,
+    set_group_pricing,
+)
 from repro.campaign.sweep import canonical_json
 from repro.campaign.workloads import (
     corpus,
@@ -33,23 +41,12 @@ from repro.machine import (
 )
 from repro.machine.contention import _EXACT_F64
 from repro.obs import clear_spans, set_enabled, span_snapshot
-from repro.runtime import (
-    execute,
-    execute_group,
-    segmented_pricing_enabled,
-    set_segmented_pricing,
-)
+from repro.runtime import execute, execute_group, execute_python
+from repro.runtime.executor import _vectorizable
 
 from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
 
 PARAMS = {"N": 3, "M": 3}
-
-
-@pytest.fixture
-def force_per_phase():
-    prev = set_segmented_pricing(False)
-    yield
-    set_segmented_pricing(prev)
 
 
 def random_phases(rng, mesh_dims, n_phases, events_per_phase, max_size=9):
@@ -163,16 +160,11 @@ class TestKernelBitIdentity:
 
 
 def assert_segmented_matches_baseline(cells):
-    """execute() and execute_group() with fused pricing on vs the
-    per-phase baseline: every report equal, float for float."""
-    assert segmented_pricing_enabled()
+    """execute() and execute_group() vs the per-event reference
+    execute_python(): every report equal, float for float."""
     fused = [execute(p, m, collectives=c) for p, m, c in cells]
     fused_group = execute_group(cells)
-    prev = set_segmented_pricing(False)
-    try:
-        base = [execute(p, m, collectives=c) for p, m, c in cells]
-    finally:
-        set_segmented_pricing(prev)
+    base = [execute_python(p, m, collectives=c) for p, m, c in cells]
     for (program, machine, _), got, got_g, want in zip(
         cells, fused, fused_group, base
     ):
@@ -225,57 +217,12 @@ class TestExecutorBitIdentity3D:
             )
 
 
-class _PerPhaseOnlyModel:
-    """A registered-model stand-in exposing only the per-phase array
-    surface — the duck-typed fallback the segmented executor must keep
-    working for."""
-
-    def __init__(self, p, q):
-        self._inner = ParagonModel(p, q)
-        self.mesh = self._inner.mesh
-
-    def time_phase(self, messages):
-        return self._inner.time_phase(messages)
-
-    def time_phase_arrays(self, senders, receivers, sizes):
-        return self._inner.time_phase_arrays(senders, receivers, sizes)
-
-
-class TestFallbacks:
-    def test_duck_typed_model_prices_per_phase(self):
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        full = ParagonModel(4, 4)
-        duck = _PerPhaseOnlyModel(4, 4)
-        want = execute(compiled.program(full, PARAMS), full)
-        got = execute(compiled.program(duck, PARAMS), duck)
-        assert got == want
-
-    def test_macro_lane_without_vectorized_collectives(self):
-        class _ScalarCM5(CM5Model):
-            # hide the vectorized lane: the executor must fall back to
-            # scalar reduction_time/broadcast_time per segment
-            macro_times_segmented = None
-
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(4, 4)
-        prog = compiled.program(machine, PARAMS)
-        got = execute(prog, machine, collectives=_ScalarCM5())
-        want = execute(prog, machine, collectives=CM5Model())
-        assert got == want
-
-    def test_toggle_restores(self, force_per_phase):
-        assert not segmented_pricing_enabled()
-        compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
-        machine = ParagonModel(4, 4)
-        prog = compiled.program(machine, PARAMS)
-        assert execute(prog, machine).total_time > 0
-
-
 class TestSpanTaxonomy:
     def test_segmented_span_counts_phases(self):
         """One fused kernel launch records ``count = phases``, so stage
         reports keep counting phases after the fusion: the aggregated
-        exec.segmented count equals the per-phase exec.phase count."""
+        exec.segmented count equals the phases of every priced label's
+        partition."""
         compiled = compile_nest(motivating_example(), m=2, params=PARAMS)
         machine = ParagonModel(4, 4)
         prog = compiled.program(machine, PARAMS)
@@ -288,43 +235,42 @@ class TestSpanTaxonomy:
                 for p, e in span_snapshot().items()
                 if p.endswith("exec.segmented")
             }
-            seg = set_segmented_pricing(False)
-            try:
-                clear_spans()
-                execute(prog, machine, collectives=CM5Model())
-                per_phase = {
-                    p: e["count"]
-                    for p, e in span_snapshot().items()
-                    if p.endswith("exec.phase")
-                }
-            finally:
-                set_segmented_pricing(seg)
         finally:
             set_enabled(prev)
             clear_spans()
-        assert sum(fused.values()) == sum(per_phase.values()) > 0
+        phases = sum(
+            b.phase_partition(_vectorizable(prog, b.access_label)).n_phases
+            for b in prog.comm_batches()
+            if b.n and b.locality_masks()[2].any()
+        )
+        assert sum(fused.values()) == phases > 0
 
 
 class TestStoreGolden:
-    def test_campaign_store_identical_on_and_off(self, tmp_path):
+    def test_campaign_store_identical_on_and_off(self, tmp_path, monkeypatch):
         """The canonical-json record payload of a small campaign is
-        byte-identical with fused pricing on and off."""
-        digests = []
-        for on in (True, False):
-            prev = set_segmented_pricing(on)
-            try:
-                spec = default_spec(seed=0, nests=2, meshes=((2, 2),))
-                tasks = spec.expand()
-                out = str(tmp_path / f"seg_{int(on)}.jsonl")
-                outcome = run_campaign(
-                    tasks, out, CampaignConfig(jobs=1), meta={}
-                )
-                assert outcome.errors == 0 and outcome.timeouts == 0
-                _, results = RunStore(out).load()
-                payload = canonical_json(
-                    [results[t.task_id].deterministic_dict() for t in tasks]
-                )
-                digests.append(hashlib.sha1(payload.encode()).hexdigest())
-            finally:
-                set_segmented_pricing(prev)
-        assert digests[0] == digests[1]
+        byte-identical with group pricing on (the production path) and
+        off with every task priced by the per-event reference
+        executor."""
+        spec = default_spec(seed=0, nests=2, meshes=((2, 2),))
+        tasks = spec.expand()
+
+        def digest(tag):
+            clear_baseline_cache()  # every baseline priced by this run
+            out = str(tmp_path / f"{tag}.jsonl")
+            outcome = run_campaign(tasks, out, CampaignConfig(jobs=1), meta={})
+            assert outcome.errors == 0 and outcome.timeouts == 0
+            _, results = RunStore(out).load()
+            payload = canonical_json(
+                [results[t.task_id].deterministic_dict() for t in tasks]
+            )
+            return hashlib.sha1(payload.encode()).hexdigest()
+
+        fast = digest("fast")
+        prev = set_group_pricing(False)
+        try:
+            monkeypatch.setattr(repro.runtime, "execute", execute_python)
+            reference = digest("reference")
+        finally:
+            set_group_pricing(prev)
+        assert fast == reference

@@ -1,5 +1,5 @@
-"""Perf core — vectorized RouteCache simulators vs the per-element
-Python baselines.
+"""Perf core — closed-form link-numbering simulators vs the
+per-element Python baselines.
 
 Not a paper artefact: this is the performance benchmark the vectorized
 mesh-simulation core is held to.  It measures old-vs-new throughput of
@@ -36,7 +36,6 @@ from repro.machine import (
     EventSimulator,
     Mesh2D,
     Message,
-    RouteCache,
     affine_pattern,
     decomposed_phases,
     phase_time,
@@ -91,16 +90,15 @@ def measure_workloads():
     for side, nmsg in WORKLOADS:
         mesh = Mesh2D(side, side)
         msgs = random_pattern(mesh, nmsg, seed=side)
-        cache = RouteCache(mesh)
-        sim = EventSimulator(mesh, PARAMS, cache=cache)
+        sim = EventSimulator(mesh, PARAMS)
 
-        fast_report = phase_time(mesh, msgs, PARAMS, cache=cache)  # warm
+        fast_report = phase_time(mesh, msgs, PARAMS)
         slow_report = phase_time_python(mesh, msgs, PARAMS)
         assert fast_report == slow_report, "vectorized analytic model diverged"
-        t_fast = best_of(lambda: phase_time(mesh, msgs, PARAMS, cache=cache))
+        t_fast = best_of(lambda: phase_time(mesh, msgs, PARAMS))
         t_slow = best_of(lambda: phase_time_python(mesh, msgs, PARAMS))
 
-        fast_make = sim.run(msgs)  # warm
+        fast_make = sim.run(msgs)
         slow_make = sim.run_python(msgs)
         assert fast_make == slow_make, "vectorized event simulator diverged"
         t_fast_ev = best_of(lambda: sim.run(msgs))
@@ -116,7 +114,6 @@ def measure_workloads():
                 "eventsim_python_s": t_slow_ev,
                 "eventsim_vectorized_s": t_fast_ev,
                 "eventsim_speedup": t_slow_ev / t_fast_ev,
-                "route_cache": cache.stats(),
             }
         )
     return rows
@@ -198,7 +195,8 @@ def test_seed_scenarios_bit_identical():
 
 
 def test_record_perf_core(workload_rows):
-    """Persist the measurements (plus cache hit rates) for perf tracking."""
+    """Persist the measurements (plus linalg cache hit rates) for perf
+    tracking."""
     # exercise the linalg cache so its hit rates are meaningful
     a = IntMat([[1, 1], [0, 1]])
     from repro.linalg import right_hermite, smith_normal_form

@@ -94,10 +94,10 @@ SRC_DIR = os.path.join(os.path.dirname(BENCH_DIR), "src")
 #: hotspot rows kept in BENCH_profile.json
 PROFILE_TOP_N = 30
 
-#: ceiling on per-phase pricing calls (`phase_time_arrays`) in the
+#: ceiling on one-segment pricing calls (`phase_time_arrays`) in the
 #: reference profile — ~1,300 before the fused segmented kernels, ~0
-#: after (the slack covers exact-magnitude fallbacks, not a path
-#: regression)
+#: after (no exact-magnitude fallback calls it any more; the slack
+#: tolerates a few single-phase callers, not a path regression)
 PHASE_CALL_CEILING = 48
 
 
@@ -268,10 +268,9 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
 
     # fused segmented pricing collapsed this scenario's ~1,300
     # per-phase pricing calls into a few hundred whole-label kernel
-    # launches.  Per-phase `phase_time_arrays` calls must stay below a
+    # launches.  One-segment `phase_time_arrays` calls must stay below a
     # small constant — anything more means phases are leaking back onto
-    # the per-phase kernel (an exact-magnitude fallback misfire) and the
-    # cold-throughput gate in bench_campaign_throughput.py is living on
+    # one kernel launch per phase and the cold-throughput gate in bench_campaign_throughput.py is living on
     # borrowed time.
     if phase_array_calls > PHASE_CALL_CEILING:
         print(

@@ -124,7 +124,7 @@ class _CompiledWorkload:
 _compile_cache: "OrderedDict[str, _CompiledWorkload]" = OrderedDict()
 _compile_cache_size: int = env_int("REPRO_CAMPAIGN_COMPILE_CACHE", 32)
 #: hit/miss counts live in the obs metrics registry so one
-#: ``obs.snapshot()`` covers this cache next to the linalg/route caches
+#: ``obs.snapshot()`` covers this cache next to the linalg caches
 _compile_hits = obs_metrics.counter("campaign.compile_cache.hits")
 _compile_misses = obs_metrics.counter("campaign.compile_cache.misses")
 

@@ -3,12 +3,12 @@
 * :mod:`~repro.machine.topology` / :mod:`~repro.machine.topology3d` —
   2-D and 3-D meshes, dimension-order routing, messages (endpoints are
   coordinate tuples of the mesh rank);
-* :mod:`~repro.machine.routecache` — integer link ids and LRU-cached
-  NumPy route arrays (the vectorized core; see PERFORMANCE.md);
-* :mod:`~repro.machine.contention` — analytic link-contention timing,
-  rank-generic over the route caches;
+* :mod:`~repro.machine.contention` — analytic link-contention timing:
+  one closed-form kernel numbers every route's links by leg intervals
+  (no route is built or cached; see PERFORMANCE.md), rank-generic;
 * :mod:`~repro.machine.eventsim` — event-driven store-and-forward
-  simulator (cross-validation), rank-generic;
+  simulator (cross-validation) on the same link numbering,
+  rank-generic;
 * :mod:`~repro.machine.patterns` — translation / affine / decomposed /
   broadcast / reduction message generators;
 * :mod:`~repro.machine.model` — the :class:`MachineModel` protocol and
@@ -39,20 +39,7 @@ from .model import (
     register_machine,
 )
 from .machines import CM5Model, ParagonModel, T3DModel
-from .routecache import (
-    RouteCache,
-    RouteCache3D,
-    clear_route_caches,
-    route_cache_for,
-    route_cache_stats,
-)
-from .topology3d import (
-    Mesh3D,
-    Message3,
-    affine_pattern_3d,
-    phase_time_3d,
-    phase_time_3d_python,
-)
+from .topology3d import Mesh3D, Message3, affine_pattern_3d
 from .patterns import (
     affine_pattern,
     broadcast_tree_phases,
@@ -64,6 +51,12 @@ from .patterns import (
     translation_pattern,
 )
 from .topology import Mesh2D, Message
+
+
+def clear_route_caches() -> None:
+    """No-op: routes are numbered in closed form and never cached.
+    Kept importable because perfbench's per-unit cache reset calls it."""
+
 
 __all__ = [
     "Mesh2D",
@@ -85,10 +78,6 @@ __all__ = [
     "machine_spec",
     "make_machine",
     "register_machine",
-    "RouteCache",
-    "RouteCache3D",
-    "route_cache_for",
-    "route_cache_stats",
     "clear_route_caches",
     "ParagonModel",
     "CM5Model",
@@ -96,8 +85,6 @@ __all__ = [
     "Mesh3D",
     "Message3",
     "affine_pattern_3d",
-    "phase_time_3d",
-    "phase_time_3d_python",
     "translation_pattern",
     "affine_pattern",
     "coalesce",

@@ -16,21 +16,19 @@ the phenomena the paper measures — serial conflicts on shared links —
 without modelling flit-level detail (the event-driven simulator in
 :mod:`repro.machine.eventsim` cross-checks it).
 
-The production kernel, :func:`phase_times_segmented`, prices many
-phases at once in closed form: every leg of a dimension-order route is
-a contiguous interval of links, so per-link loads follow from each
-leg's two end points (a sort and a running sum) without building any
-route.  It is the only kernel the runtime executor calls (through the
-machine presets' ``time_phases_segmented``).  The per-phase
-:func:`phase_time` / :func:`phase_time_arrays` take routes from the
-per-mesh :class:`~repro.machine.routecache.RouteCache` as integer
-link-id arrays and accumulate loads with one ``np.bincount`` per
-phase; they serve single-phase callers (the presets' ``time_phase``,
-which ``execute_python`` and ``time_general`` use) and the segmented
-kernel's exact-magnitude fallback.  The
+One kernel, :func:`phase_times_segmented`, prices every phase, many
+at once, in closed form: every leg of a dimension-order route is a
+contiguous interval of links (:func:`_leg_intervals`), so per-link
+loads follow from each leg's two end points (a sort and a running sum)
+without building any route.  The runtime executor calls it through the
+machine presets' ``time_phases_segmented``; the single-phase
+:func:`phase_time` / :func:`phase_time_arrays` (the presets'
+``time_phase``, used by ``execute_python`` and ``time_general``) price
+their phase as its one segment, and the event simulator of
+:mod:`repro.machine.eventsim` numbers its links the same way.  The
 original per-element implementation is kept as
 :func:`phase_time_python` — the baseline the perf-core benchmark
-measures against, and the oracle all three are bit-identical to (see
+measures against, and the oracle the kernel is bit-identical to (see
 ``tests/machine/test_routecache.py`` and
 ``tests/machine/test_closed_form_loads.py``).
 """
@@ -42,9 +40,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .backend import rows_equal, segment_max, unique_rows
-from .routecache import max_link_load, route_cache_for
-from .topology import Link, Mesh2D, Message
+from .backend import rows_equal, segment_max
+from .topology import Link, Message
 
 
 @dataclass(frozen=True)
@@ -85,56 +82,24 @@ def phase_time(
     mesh,
     messages: Sequence[Message],
     params: CostParams,
-    cache=None,
 ) -> PhaseReport:
     """Time for one phase of simultaneous messages on the mesh.
 
-    Rank-generic: ``mesh`` may be any mesh with a route cache
-    (:class:`~repro.machine.topology.Mesh2D`,
-    :class:`~repro.machine.topology3d.Mesh3D`); message endpoints are
-    coordinate tuples of the matching rank.  Vectorized: link loads
-    accumulate by ``np.bincount`` over the cached link-id arrays of all
-    routes at once.  ``cache`` defaults to the shared per-mesh
-    :func:`~repro.machine.routecache.route_cache_for` cache; pass an
-    explicit one for isolation.
+    Rank-generic: ``mesh`` may be a
+    :class:`~repro.machine.topology.Mesh2D` or a
+    :class:`~repro.machine.topology3d.Mesh3D`; message endpoints are
+    coordinate tuples of the matching rank and sizes must fit in int64.
+    Packs the messages into endpoint arrays for
+    :func:`phase_time_arrays`.
     """
-    if cache is None:
-        cache = route_cache_for(mesh)
-    sender_msgs: Dict = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    id_arrays: List = []
-    sizes: List[int] = []
-    for m in messages:
-        if m.src == m.dst:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        ids = cache.link_ids(m.src, m.dst)
-        n = ids.shape[0]
-        if n - 2 > max_hops:
-            max_hops = n - 2  # == mesh.hops(m.src, m.dst) by construction
-        id_arrays.append(ids)
-        sizes.append(m.size)
-    max_load = max_link_load(cache, id_arrays, sizes)
-    max_fanout = max(sender_msgs.values(), default=0)
-    time = (
-        params.alpha * max_fanout
-        + params.beta * max_load
-        + params.gamma * max_hops
-    )
-    return PhaseReport(
-        time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
+    rank = len(mesh.dims)
+    n = len(messages)
+    return phase_time_arrays(
+        mesh,
+        np.array([m.src for m in messages], dtype=np.int64).reshape(n, rank),
+        np.array([m.dst for m in messages], dtype=np.int64).reshape(n, rank),
+        np.array([m.size for m in messages], dtype=np.int64),
+        params,
     )
 
 
@@ -144,60 +109,15 @@ def phase_time_arrays(
     receivers: np.ndarray,
     sizes: np.ndarray,
     params: CostParams,
-    cache=None,
 ) -> PhaseReport:
-    """Array-native :func:`phase_time`: one phase given endpoint
-    coordinate matrices instead of :class:`Message` objects.
-
-    ``senders``/``receivers`` are ``(n, rank)`` int64 coordinate rows,
-    ``sizes`` the ``(n,)`` message sizes.  Bit-identical to building
-    the equivalent ``Message`` list and calling :func:`phase_time`
-    (asserted in ``tests/machine/test_backend.py``): fanout and hop
-    counts come from array reductions — max hops equals the Manhattan
-    distance, which is exactly ``route length - 2`` for the caches'
-    dimension-order routes — while the per-link load accumulation and
-    the final cost formula reuse the same :func:`max_link_load` /
-    ``CostParams`` arithmetic on the same Python ints.
-    """
-    if cache is None:
-        cache = route_cache_for(mesh)
-    senders = np.asarray(senders, dtype=np.int64)
-    receivers = np.asarray(receivers, dtype=np.int64)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    nonlocal_mask = ~rows_equal(senders, receivers)
-    local = int(senders.shape[0] - nonlocal_mask.sum())
-    if local:
-        senders = senders[nonlocal_mask]
-        receivers = receivers[nonlocal_mask]
-        sizes = sizes[nonlocal_mask]
-    remote = senders.shape[0]
-    if remote:
-        _, fan_counts = unique_rows(senders)
-        max_fanout = int(fan_counts.max())
-        max_hops = int(np.abs(receivers - senders).sum(axis=1).max())
-    else:
-        max_fanout = 0
-        max_hops = 0
-    size_list = sizes.tolist()
-    id_arrays = [
-        cache.link_ids(tuple(s), tuple(d))
-        for s, d in zip(senders.tolist(), receivers.tolist())
-    ]
-    max_load = max_link_load(cache, id_arrays, size_list)
-    time = (
-        params.alpha * max_fanout
-        + params.beta * max_load
-        + params.gamma * max_hops
-    )
-    return PhaseReport(
-        time=time,
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=sum(size_list),
-        local_messages=local,
-    )
+    """Array-native :func:`phase_time`: one phase given ``(n, rank)``
+    int64 endpoint coordinate rows and the ``(n,)`` message sizes,
+    priced as the single segment of :func:`phase_times_segmented`."""
+    n = np.shape(sizes)[0]
+    return phase_times_segmented(
+        mesh, senders, receivers, sizes, np.zeros(n, dtype=np.int64), params,
+        n_phases=1,
+    ).report(0)
 
 
 @dataclass
@@ -206,7 +126,7 @@ class SegmentedPhaseReport:
     call: every field is an ``(S,)`` array, one entry per phase segment
     (:func:`phase_times_segmented`).  :meth:`report` rebuilds the exact
     :class:`PhaseReport` of one segment — the surface the bit-identity
-    property suite compares against the per-phase path."""
+    property suite compares against the per-link oracle."""
 
     times: np.ndarray
     max_link_load: np.ndarray
@@ -230,28 +150,8 @@ class SegmentedPhaseReport:
 _INT_FIELDS = tuple(f.name for f in fields(SegmentedPhaseReport)[1:])
 
 
-#: float64 integer arithmetic is exact below this (same bound as
-#: :func:`~repro.machine.routecache.max_link_load`)
+#: float64 integer arithmetic is exact below this
 _EXACT_F64 = 2 ** 53
-
-
-def _segmented_exact_fallback(
-    mesh, senders, receivers, sizes, phase_ids, params, n_phases
-) -> "SegmentedPhaseReport":
-    """Pathological-magnitude fallback: price each segment through the
-    per-phase :func:`phase_time_arrays` exact path and stack the
-    reports (bit-identical at any magnitude, never fast)."""
-    reports = [
-        phase_time_arrays(mesh, senders[m], receivers[m], sizes[m], params)
-        for m in (phase_ids == s for s in range(n_phases))
-    ]
-    return SegmentedPhaseReport(
-        times=np.array([r.time for r in reports], dtype=np.float64),
-        **{
-            f: np.array([getattr(r, f) for r in reports], dtype=np.int64)
-            for f in _INT_FIELDS
-        },
-    )
 
 
 def _flat(dims, cols) -> np.ndarray:
@@ -275,7 +175,15 @@ def _leg_intervals(dims, src, dst):
     move the last axis first, so along axis ``a`` the other
     coordinates are ``dst``'s above ``a`` and ``src``'s below it, and
     the leg is ``[min(s_a, d_a), max(s_a, d_a))`` of that line.
+
+    Raises ``ValueError`` if any (non-empty, int64) column leaves its
+    axis.
     """
+    for n, s, d in zip(dims, src, dst):
+        # viewed as uint64, a negative coordinate is >= 2**63, so one
+        # max per column checks both bounds
+        if max(s.view(np.uint64).max(), d.view(np.uint64).max()) >= n:
+            raise ValueError("endpoint outside the mesh")
     n_nodes = 1
     for n in dims:
         n_nodes *= n
@@ -322,17 +230,23 @@ def phase_times_segmented(
       numbering.  The work is O(messages * rank), not O(total hops);
     * hops are ``|dst - src|_1``, fan-out a count per (phase, sender).
 
-    Bit-identical to :func:`phase_time_arrays` per segment (tested in
-    ``tests/machine/test_closed_form_loads.py``): loads are int64 sums,
-    volumes float64 sums kept exact by the magnitude guard — beyond it
-    the per-phase exact path runs — and the cost formula performs the
-    same IEEE operations in the same order.
+    Bit-identical per segment to the per-link oracle
+    :func:`phase_time_python` (tested in
+    ``tests/machine/test_closed_form_loads.py``): loads are int64 sums
+    and volumes float64 sums, both exact below the magnitude guard;
+    past it the same closed form runs on Python-int (object) sizes, so
+    every sum stays exact at any magnitude.  The cost formula performs
+    the same IEEE operations in the same order.  Negative sizes and
+    non-local messages with an endpoint outside the mesh raise
+    ``ValueError``.
     """
     senders = np.asarray(senders, dtype=np.int64)
     receivers = np.asarray(receivers, dtype=np.int64)
     sizes = np.asarray(sizes, dtype=np.int64)
     phase_ids = np.asarray(phase_ids, dtype=np.int64)
     n = senders.shape[0]
+    if n and sizes.min() < 0:
+        raise ValueError("negative message size")
     if n_phases is None:
         n_phases = int(phase_ids.max()) + 1 if n else 0
     local_messages = np.zeros(n_phases, dtype=np.int64)
@@ -357,21 +271,18 @@ def phase_times_segmented(
         tuple(mesh.dims), list(senders.T), list(receivers.T)
     )
     hops = sum(lens[2:])
+    total_messages = np.bincount(phase_ids, minlength=n_phases)
     # conservative exactness bound on the float64 volume sums (and,
     # with room to spare, on the int64 load sums)
-    max_size = int(sizes.max())
     max_route = int(hops.max()) + 2
-    if max_size < 0 or max_size * max_route * remote > _EXACT_F64:
-        srep = _segmented_exact_fallback(
-            mesh, senders, receivers, sizes, phase_ids, params, n_phases
-        )
-        srep.local_messages = local_messages  # dropped rows above
-        return srep
-
-    total_messages = np.bincount(phase_ids, minlength=n_phases)
-    total_volume = np.bincount(
-        phase_ids, weights=sizes.astype(np.float64), minlength=n_phases
-    ).astype(np.int64)
+    if int(sizes.max()) * max_route * remote > _EXACT_F64:
+        sizes = sizes.astype(object)
+        total_volume = np.zeros(n_phases, dtype=object)
+        np.add.at(total_volume, phase_ids, sizes)
+    else:
+        total_volume = np.bincount(
+            phase_ids, weights=sizes.astype(np.float64), minlength=n_phases
+        ).astype(np.int64)
     max_hops = segment_max(hops, phase_ids, n_phases)
 
     fan_keys, fan_counts = np.unique(
@@ -413,13 +324,14 @@ def phase_times_segmented(
 
 
 def phase_time_python(
-    mesh: Mesh2D, messages: Sequence[Message], params: CostParams
+    mesh, messages: Sequence[Message], params: CostParams
 ) -> PhaseReport:
     """Pure-Python reference implementation of :func:`phase_time`.
 
     Rebuilds every route as tuple links and probes a dict per link —
     the pre-vectorization behaviour, kept as the perf-core baseline and
-    bit-identity cross-check.
+    the bit-identity oracle of every kernel.  Rank-generic like
+    :func:`phase_time`.
     """
     link_load: Dict[Link, int] = {}
     sender_msgs: Dict = {}
@@ -435,7 +347,7 @@ def phase_time_python(
         total_volume += m.size
         sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
         max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xy_route(m.src, m.dst):
+        for link in mesh.route(m.src, m.dst):
             link_load[link] = link_load.get(link, 0) + m.size
     max_load = max(link_load.values(), default=0)
     max_fanout = max(sender_msgs.values(), default=0)

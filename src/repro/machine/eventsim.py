@@ -25,11 +25,13 @@ length with a defensive ``max(0, ...)`` clamp that could silently
 disagree with the mesh's definition; the two are now reconciled and
 asserted equal in ``tests/machine/test_routecache.py``.
 
-:meth:`EventSimulator.run` is vectorized: routes come from the
-per-mesh :class:`~repro.machine.routecache.RouteCache` as integer
-link-id arrays, and the per-link dict probes of the original become
-one array ``max`` plus one slice assignment per message over a dense
-``link_free`` vector.  The original is kept as
+:meth:`EventSimulator.run` is vectorized: every message's links come
+from the closed-form leg intervals of
+:func:`~repro.machine.contention._leg_intervals` (the numbering the
+pricing kernel uses), expanded once into one flat link-id array for
+all remote messages, and the per-link dict probes of the original
+become one array ``max`` plus one slice assignment per message over a
+dense ``link_free`` vector.  The original is kept as
 :meth:`EventSimulator.run_python` — the perf-core baseline and a
 bit-identity cross-check.
 """
@@ -40,54 +42,61 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .contention import CostParams
-from .routecache import route_cache_for
+from .contention import CostParams, _leg_intervals
 from .topology import Link, Message
 
 
 class EventSimulator:
     """Simulate one communication phase; returns the makespan.
 
-    Rank-generic: ``mesh`` may be any mesh with a route cache
-    (:class:`~repro.machine.topology.Mesh2D` or
-    :class:`~repro.machine.topology3d.Mesh3D`); the vectorized path
-    works off integer link-id arrays and :meth:`run_python` off the
-    mesh's dimension-order ``route``.
+    Rank-generic: ``mesh`` may be a
+    :class:`~repro.machine.topology.Mesh2D` or a
+    :class:`~repro.machine.topology3d.Mesh3D`; the vectorized path
+    works off integer link ids and :meth:`run_python` off the mesh's
+    dimension-order ``route``.
     """
 
-    def __init__(self, mesh, params: CostParams, cache=None):
+    def __init__(self, mesh, params: CostParams):
         self.mesh = mesh
         self.params = params
-        self._cache = cache
-
-    def _route_cache(self):
-        if self._cache is None:
-            self._cache = route_cache_for(self.mesh)
-        return self._cache
 
     def run(self, messages: Sequence[Message]) -> float:
-        cache = self._route_cache()
+        remote = [(order, m) for order, m in enumerate(messages) if not m.is_local]
+        if not remote:
+            return 0.0
+        shape = (len(remote), len(self.mesh.dims))
+        src = np.array([m.src for _, m in remote], dtype=np.int64).reshape(shape)
+        dst = np.array([m.dst for _, m in remote], dtype=np.int64).reshape(shape)
+        starts, lens, num_links = _leg_intervals(
+            tuple(self.mesh.dims), list(src.T), list(dst.T)
+        )
+        # every message's legs laid end to end: message i owns
+        # ids[bounds[i]:bounds[i + 1]]
+        legs = len(starts)  # injection, one per axis, ejection
+        starts = np.stack(starts, axis=1).ravel()
+        lens = np.stack(np.broadcast_arrays(*lens), axis=1).ravel()
+        leg_ends = np.cumsum(lens)
+        ids = np.arange(leg_ends[-1]) + np.repeat(starts - (leg_ends - lens), lens)
+        bounds = [0] + leg_ends[legs - 1 :: legs].tolist()
         per_sender: Dict = {}
-        pending: List[Tuple[float, int, int, np.ndarray]] = []
+        pending: List[Tuple[float, int, int, int, int]] = []
         alpha = self.params.alpha
-        for order, m in enumerate(messages):
-            if m.is_local:
-                continue
-            ids = cache.link_ids(m.src, m.dst)
+        for i, (order, m) in enumerate(remote):
             k = per_sender.get(m.src, 0)
             per_sender[m.src] = k + 1
-            pending.append((alpha * k, order, m.size, ids))
+            pending.append((alpha * k, order, m.size, bounds[i], bounds[i + 1]))
         pending.sort(key=lambda t: (t[0], t[1]))
-        link_free = np.zeros(cache.num_links)
+        link_free = np.zeros(num_links)
         beta = self.params.beta
         gamma = self.params.gamma
         finish = 0.0
-        for ready, _order, size, ids in pending:
-            start = float(link_free[ids].max())
+        for ready, _order, size, lo, hi in pending:
+            route = ids[lo:hi]
+            start = float(link_free[route].max())
             if ready > start:
                 start = ready
-            done = start + beta * size + gamma * (ids.shape[0] - 2)
-            link_free[ids] = done
+            done = start + beta * size + gamma * (hi - lo - 2)
+            link_free[route] = done
             if done > finish:
                 finish = done
         return finish

@@ -7,11 +7,12 @@ elementary-matrix machinery is stated for arbitrary dimension.  This
 module provides the 3-D substrate: XYZ dimension-order routing with
 injection/ejection links, mirroring :class:`~repro.machine.topology.Mesh2D`.
 
-The analytic timing surface is shared with the 2-D mesh: the generic
-:func:`~repro.machine.contention.phase_time` works on any mesh with a
-route cache, so :func:`phase_time_3d` is its 3-D entry point and
-returns the same :class:`~repro.machine.contention.PhaseReport`
-(time plus per-link utilization breakdown), not a bare float.
+The analytic timing surface is shared with the 2-D mesh: the
+rank-generic :func:`~repro.machine.contention.phase_time` (and its
+oracle :func:`~repro.machine.contention.phase_time_python`) price a
+3-D phase and return the same
+:class:`~repro.machine.contention.PhaseReport` (time plus per-link
+utilization breakdown), not a bare float.
 """
 
 from __future__ import annotations
@@ -101,59 +102,6 @@ class Mesh3D:
         """Dimension-order route — the rank-generic name every mesh
         exposes (here an alias for :meth:`xyz_route`)."""
         return self.xyz_route(src, dst)
-
-
-def phase_time_3d(mesh: Mesh3D, messages, params, cache=None):
-    """Analytic link-contention bound on a 3-D mesh.
-
-    Same structure — and same implementation — as the 2-D model: the
-    generic :func:`~repro.machine.contention.phase_time` consumes cached
-    integer link-id arrays and accumulates loads through the shared
-    :func:`~repro.machine.routecache.max_link_load` helper; this
-    function is the 3-D-named entry point.  Returns a full
-    :class:`~repro.machine.contention.PhaseReport`.
-    """
-    from .contention import phase_time
-
-    return phase_time(mesh, messages, params, cache=cache)
-
-
-def phase_time_3d_python(mesh: Mesh3D, messages, params):
-    """Pure-Python reference implementation of :func:`phase_time_3d`
-    (per-link dict probes) — baseline and bit-identity cross-check."""
-    link_load = {}
-    sender_msgs = {}
-    max_hops = 0
-    total_volume = 0
-    local = 0
-    remote = 0
-    for m in messages:
-        if m.src == m.dst:
-            local += 1
-            continue
-        remote += 1
-        total_volume += m.size
-        sender_msgs[m.src] = sender_msgs.get(m.src, 0) + 1
-        max_hops = max(max_hops, mesh.hops(m.src, m.dst))
-        for link in mesh.xyz_route(m.src, m.dst):
-            link_load[link] = link_load.get(link, 0) + m.size
-    max_load = max(link_load.values(), default=0)
-    max_fanout = max(sender_msgs.values(), default=0)
-    from .contention import PhaseReport
-
-    return PhaseReport(
-        time=(
-            params.alpha * max_fanout
-            + params.beta * max_load
-            + params.gamma * max_hops
-        ),
-        max_link_load=max_load,
-        max_hops=max_hops,
-        max_msgs_per_sender=max_fanout,
-        total_messages=remote,
-        total_volume=total_volume,
-        local_messages=local,
-    )
 
 
 def affine_pattern_3d(

@@ -14,7 +14,7 @@ subsystem:
   :class:`~repro.campaign.store.TaskResult`;
 * :mod:`~repro.obs.metrics` — a **registry** of counters, gauges and
   histograms plus snapshot *providers*, unifying the pre-existing cache
-  stats (linalg normal forms, route caches, per-worker compile LRU) and
+  stats (linalg normal forms, per-worker compile LRU) and
   the executor lifecycle counters under one namespace with a single
   ``snapshot()`` → plain-dict export;
 * :mod:`~repro.obs.trace` — the JSONL **trace file** written by

@@ -10,10 +10,9 @@ holds every metric under a dotted namespace, get-or-create style::
 ``snapshot()`` exports everything as one plain dict — counters and
 gauges as numbers, histograms as small stat dicts — plus the output of
 registered **providers**: callables contributing structured sections
-for state that lives elsewhere (the per-mesh route caches, the linalg
-normal-form caches, the compile LRU).  Providers are how the three
-formerly bespoke stats surfaces report through one namespace without
-obs owning their storage.
+for state that lives elsewhere (the linalg normal-form caches, the
+compile LRU).  Providers are how the formerly bespoke stats surfaces
+report through one namespace without obs owning their storage.
 
 This is also the export the future ``python -m repro serve`` daemon
 will put behind its ``/metrics`` endpoint: everything JSON-serializable,

@@ -4,9 +4,9 @@ Python oracles.
 `phase_times_segmented` prices every route leg as one interval of a
 leg-contiguous link numbering instead of building routes.  Every
 segment's report — max link load, hops, sender fan-out and time — must
-equal `phase_time_python` / `phase_time_3d_python` on the same messages,
-on random and degenerate (1 x q, p x 1, 1 x 1 x r) meshes, with empty
-and all-local segments, and past the float64-exact magnitude guard.
+equal `phase_time_python` on the same messages, on random and
+degenerate (1 x q, p x 1, 1 x 1 x r) meshes, with empty and all-local
+segments, and past the float64-exact magnitude guard (and int64).
 """
 
 import numpy as np
@@ -16,18 +16,15 @@ from repro.machine import (
     CostParams,
     Mesh2D,
     Mesh3D,
-    clear_route_caches,
+    phase_time,
     phase_times_segmented,
-    route_cache_stats,
 )
-from repro.machine import contention
 from repro.machine.contention import (
     _EXACT_F64,
     _leg_intervals,
     phase_time_python,
 )
 from repro.machine.topology import Message
-from repro.machine.topology3d import phase_time_3d_python
 
 PARAMS = CostParams(alpha=19.7, beta=1.3, gamma=0.41)
 
@@ -46,9 +43,7 @@ def oracle(mesh, senders, receivers, sizes, params=PARAMS):
         Message(tuple(s), tuple(d), z)
         for s, d, z in zip(senders.tolist(), receivers.tolist(), sizes.tolist())
     ]
-    if len(mesh.dims) == 2:
-        return phase_time_python(mesh, msgs, params)
-    return phase_time_3d_python(mesh, msgs, params)
+    return phase_time_python(mesh, msgs, params)
 
 
 def random_messages(rng, dims, n, n_phases, local_share=0.2, max_size=9):
@@ -143,34 +138,51 @@ class TestAgainstOracle:
 
 
 class TestMagnitudeGuard:
-    def test_huge_sizes_take_exact_fallback(self, monkeypatch):
-        """Past the guard the per-phase exact path prices every segment;
+    def test_huge_sizes_take_exact_fallback(self):
+        """Past the guard every segment is priced on Python-int sizes;
         the local row of segment 1 still counts in its report."""
-        calls = []
-        fallback = contention._segmented_exact_fallback
-
-        def spy(*args):
-            calls.append(args)
-            return fallback(*args)
-
-        monkeypatch.setattr(contention, "_segmented_exact_fallback", spy)
         mesh = Mesh2D(4, 4)
         senders = np.array([[0, 0], [0, 0], [1, 0], [2, 2]])
         receivers = np.array([[3, 3], [2, 1], [3, 2], [2, 2]])
         sizes = np.array([_EXACT_F64, 7, 11, 5])
         phase_ids = np.array([0, 0, 1, 1])
         assert_matches_oracle(mesh, senders, receivers, sizes, phase_ids, 2)
-        assert len(calls) == 1
 
-    def test_below_guard_stays_closed_form(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("exact fallback taken below the guard")
-
-        monkeypatch.setattr(contention, "_segmented_exact_fallback", fail)
+    def test_below_guard_stays_closed_form(self):
         rng = np.random.default_rng(2)
         dims = (3, 4, 2)
         messages = random_messages(rng, dims, 50, 2, max_size=2**30)
         assert_matches_oracle(make_mesh(dims), *messages, 2)
+        srep = phase_times_segmented(make_mesh(dims), *messages, PARAMS)
+        assert srep.total_volume.dtype == np.int64  # no Python-int sums
+
+    def test_sums_past_int64_stay_exact(self):
+        """Four 2**62 messages over one link: the segment's volume and
+        max link load are 2**64, past int64, and still exact."""
+        mesh = Mesh2D(2, 2)
+        senders = np.zeros((4, 2), dtype=np.int64)
+        receivers = np.array([[0, 1]] * 4)
+        sizes = np.full(4, 2**62)
+        phase_ids = np.array([0, 0, 0, 0])
+        assert_matches_oracle(mesh, senders, receivers, sizes, phase_ids, 1)
+        got = phase_times_segmented(
+            mesh, senders, receivers, sizes, phase_ids, PARAMS
+        ).report(0)
+        assert got.max_link_load == got.total_volume == 2**64
+
+
+class TestInputValidation:
+    def test_negative_size_rejected(self):
+        """A negative size is never valid: the per-link oracle would
+        report a negative load, so every pricing entry point raises."""
+        mesh = Mesh2D(2, 2)
+        with pytest.raises(ValueError, match="negative"):
+            phase_time(mesh, [Message((0, 0), (1, 1), -3)], PARAMS)
+        with pytest.raises(ValueError, match="negative"):
+            phase_times_segmented(
+                mesh, np.array([[0, 0]]), np.array([[1, 1]]),
+                np.array([-3]), np.array([0]), PARAMS,
+            )
 
 
 class TestLegNumbering:
@@ -206,14 +218,3 @@ class TestLegNumbering:
                 assert 0 <= lid < num_links
                 assert to_id.setdefault(link, lid) == lid, link
                 assert to_link.setdefault(lid, link) == link, lid
-
-
-class TestNoRoutes:
-    def test_kernel_probes_no_route_cache(self):
-        clear_route_caches()
-        rng = np.random.default_rng(4)
-        dims = (4, 4)
-        phase_times_segmented(
-            make_mesh(dims), *random_messages(rng, dims, 30, 2), PARAMS
-        )
-        assert route_cache_stats() == {}

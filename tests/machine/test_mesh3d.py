@@ -12,7 +12,7 @@ from repro.machine import (
     Message3,
     T3DModel,
     affine_pattern_3d,
-    phase_time_3d,
+    phase_time,
 )
 
 
@@ -49,7 +49,7 @@ class TestTiming3D:
     def test_single_message(self):
         mesh = Mesh3D(2, 2, 2)
         p = CostParams(alpha=10, beta=1, gamma=0.5)
-        rep = phase_time_3d(mesh, [Message3((0, 0, 0), (0, 0, 1), size=4)], p)
+        rep = phase_time(mesh, [Message3((0, 0, 0), (0, 0, 1), size=4)], p)
         assert rep.time == 10 + 4 + 0.5
         # the full utilization breakdown comes back, like in 2-D
         assert rep.max_link_load == 4
@@ -59,7 +59,7 @@ class TestTiming3D:
 
     def test_local_free(self):
         mesh = Mesh3D(2, 2, 2)
-        rep = phase_time_3d(
+        rep = phase_time(
             mesh, [Message3((0, 0, 0), (0, 0, 0), 9)], CostParams()
         )
         assert rep.time == 0

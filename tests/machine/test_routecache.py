@@ -1,10 +1,11 @@
 """Tests for the vectorized mesh-simulation core.
 
-Covers the RouteCache link-id layout (2-D and 3-D), LRU behaviour,
-bit-identity of the vectorized simulators against the pure-Python
-baselines, and the reconciled hop semantics (``Mesh2D.hops`` ==
-``route_hops(xy_route)`` everywhere — the head-of-line edge the
-event simulator used to paper over with a ``max(0, ...)`` clamp).
+Covers out-of-mesh endpoint rejection on every link-numbering entry
+point, bit-identity of the vectorized simulators against the
+pure-Python baselines, and the reconciled hop semantics
+(``Mesh2D.hops`` == ``route_hops(xy_route)`` everywhere — the
+head-of-line edge the event simulator used to paper over with a
+``max(0, ...)`` clamp).
 """
 
 import random
@@ -21,14 +22,10 @@ from repro.machine import (
     Mesh3D,
     Message,
     Message3,
-    RouteCache,
-    RouteCache3D,
-    clear_route_caches,
     phase_time,
-    phase_time_3d,
-    phase_time_3d_python,
+    phase_time_arrays,
     phase_time_python,
-    route_cache_for,
+    phase_times_segmented,
 )
 
 PARAMS = CostParams(alpha=10.0, beta=1.0, gamma=0.5)
@@ -50,106 +47,40 @@ def random_messages(mesh, nmsg, seed, local_fraction=0.2):
 
 
 class TestRouteIds2D:
-    def test_ids_match_xy_route_all_pairs(self):
-        mesh = Mesh2D(4, 5)
-        cache = RouteCache(mesh)
-        for src in mesh.nodes():
-            for dst in mesh.nodes():
-                ids = cache.link_ids(src, dst)
-                ref = [cache.link_id(l) for l in mesh.xy_route(src, dst)]
-                assert list(ids) == ref
-
-    def test_ids_are_dense_and_unique(self):
-        mesh = Mesh2D(3, 3)
-        cache = RouteCache(mesh)
-        seen = set()
-        for src in mesh.nodes():
-            for dst in mesh.nodes():
-                ids = list(cache.link_ids(src, dst))
-                assert len(set(ids)) == len(ids)  # no link twice per route
-                assert all(0 <= i < cache.num_links for i in ids)
-                seen.update(ids)
-        # every link of the mesh is used by some pair
-        assert seen == set(range(cache.num_links))
-
-    def test_local_route_empty(self):
-        cache = RouteCache(Mesh2D(2, 2))
-        assert cache.link_ids((1, 1), (1, 1)).shape == (0,)
-
     def test_outside_mesh_rejected(self):
-        cache = RouteCache(Mesh2D(2, 2))
-        with pytest.raises(ValueError):
-            cache.link_ids((0, 0), (5, 0))
+        """Every entry point that numbers a route's links rejects a
+        non-local message with an endpoint off the mesh — including two
+        out-of-mesh messages that would alias onto one in-mesh link."""
+        mesh = Mesh2D(2, 2)
+        cases = [
+            ([(0, 0)], [(5, 0)]),
+            ([(0, 0), (1, 1)], [(0, -1), (1, 0)]),
+        ]
+        for src, dst in cases:
+            senders = np.array(src)
+            receivers = np.array(dst)
+            sizes = np.full(len(src), 3)
+            msgs = [Message(s, d, 3) for s, d in zip(src, dst)]
+            entry_points = [
+                lambda: phase_times_segmented(
+                    mesh, senders, receivers, sizes,
+                    np.zeros(len(src), dtype=np.int64), PARAMS,
+                ),
+                lambda: phase_time(mesh, msgs, PARAMS),
+                lambda: phase_time_arrays(
+                    mesh, senders, receivers, sizes, PARAMS
+                ),
+                lambda: EventSimulator(mesh, PARAMS).run(msgs),
+            ]
+            for price in entry_points:
+                with pytest.raises(ValueError, match="outside the mesh"):
+                    price()
 
-    def test_arrays_read_only(self):
-        cache = RouteCache(Mesh2D(3, 3))
-        ids = cache.link_ids((0, 0), (2, 2))
-        with pytest.raises(ValueError):
-            ids[0] = 99
-
-
-class TestRouteIds3D:
-    def test_ids_match_xyz_route_all_pairs(self):
-        mesh = Mesh3D(2, 3, 2)
-        cache = RouteCache3D(mesh)
-        for src in mesh.nodes():
-            for dst in mesh.nodes():
-                ids = cache.link_ids(src, dst)
-                ref = [cache.link_id(l) for l in mesh.xyz_route(src, dst)]
-                assert list(ids) == ref
-
-    def test_all_links_covered(self):
-        mesh = Mesh3D(2, 2, 2)
-        cache = RouteCache3D(mesh)
-        seen = set()
-        for src in mesh.nodes():
-            for dst in mesh.nodes():
-                seen.update(cache.link_ids(src, dst).tolist())
-        assert seen == set(range(cache.num_links))
-
-
-class TestRouteCacheLRU:
-    def test_hit_returns_identical_object(self):
-        cache = RouteCache(Mesh2D(3, 3))
-        a = cache.link_ids((0, 0), (2, 2))
-        b = cache.link_ids((0, 0), (2, 2))
-        assert a is b
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_eviction_respects_lru_bound(self):
-        cache = RouteCache(Mesh2D(3, 3), maxsize=2)
-        cache.link_ids((0, 0), (1, 1))
-        cache.link_ids((0, 0), (2, 2))
-        cache.link_ids((0, 0), (0, 1))  # evicts the (1,1) entry
-        assert len(cache) == 2
-        assert ((0, 0), (1, 1)) not in cache
-        assert ((0, 0), (2, 2)) in cache
-
-    def test_lru_recency_ordering(self):
-        cache = RouteCache(Mesh2D(3, 3), maxsize=2)
-        cache.link_ids((0, 0), (1, 1))
-        cache.link_ids((0, 0), (2, 2))
-        cache.link_ids((0, 0), (1, 1))  # refresh -> (2,2) is now oldest
-        cache.link_ids((0, 0), (0, 1))
-        assert ((0, 0), (1, 1)) in cache
-        assert ((0, 0), (2, 2)) not in cache
-
-    def test_stats_and_clear(self):
-        cache = RouteCache(Mesh2D(2, 2))
-        cache.link_ids((0, 0), (1, 1))
-        cache.link_ids((0, 0), (1, 1))
-        s = cache.stats()
-        assert s["hits"] == 1 and s["misses"] == 1 and s["size"] == 1
-        cache.clear()
-        assert cache.stats()["size"] == 0 and cache.hits == 0
-
-    def test_registry_shares_cache_per_mesh(self):
-        clear_route_caches()
-        c1 = route_cache_for(Mesh2D(4, 4))
-        c2 = route_cache_for(Mesh2D(4, 4))
-        assert c1 is c2
-        c3 = route_cache_for(Mesh3D(2, 2, 2))
-        assert isinstance(c3, RouteCache3D)
+    def test_outside_local_message_unchecked(self):
+        mesh = Mesh2D(2, 2)
+        msgs = [Message((5, 5), (5, 5), size=3)]
+        assert phase_time(mesh, msgs, PARAMS).local_messages == 1
+        assert EventSimulator(mesh, PARAMS).run(msgs) == 0.0
 
 
 class TestVectorizedBitIdentity:
@@ -175,7 +106,7 @@ class TestVectorizedBitIdentity:
     def test_phase_time_3d_matches_python(self, seed):
         mesh = Mesh3D(2, 3, 2)
         msgs = random_messages(mesh, 20, seed)
-        assert phase_time_3d(mesh, msgs, PARAMS) == phase_time_3d_python(
+        assert phase_time(mesh, msgs, PARAMS) == phase_time_python(
             mesh, msgs, PARAMS
         )
 

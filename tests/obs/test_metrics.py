@@ -99,33 +99,6 @@ class TestUnifiedSurfaces:
         assert snap["linalg.cache.smith_normal_form.hits"] == 1
         assert snap["linalg.cache"]["smith_normal_form"]["hits"] == 1
 
-    def test_route_cache_provider_in_snapshot(self):
-        from repro.machine.routecache import (
-            clear_route_caches,
-            route_cache_for,
-        )
-        from repro.machine.topology import Mesh2D
-
-        clear_route_caches()
-        cache = route_cache_for(Mesh2D(2, 2))
-        cache.link_ids((0, 0), (1, 1))
-        cache.link_ids((0, 0), (1, 1))
-        section = metrics.snapshot()["machine.routecache"]
-        (stats,) = section.values()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        clear_route_caches()
-
-    def test_route_cache_instances_are_independent(self):
-        from repro.machine.routecache import RouteCache
-        from repro.machine.topology import Mesh2D
-
-        a = RouteCache(Mesh2D(2, 2))
-        b = RouteCache(Mesh2D(2, 2))
-        a.link_ids((0, 0), (0, 1))
-        assert a.misses == 1 and b.misses == 0
-        a.clear()
-        assert a.misses == 0
-
     def test_compile_cache_provider_and_shim(self):
         from repro.campaign import compile_cache_stats
 

@@ -1,7 +1,8 @@
 """Fused segmented pricing vs per-phase and per-event references.
 
 The segmented kernel (`phase_times_segmented`) must be
-**bit-identical** to per-phase `phase_time_arrays`, and the executor
+**bit-identical** per phase to the per-link oracle `phase_time_python`,
+and the executor
 that feeds it (`execute` / `execute_group`) to the per-event reference
 `execute_python` — every ``CommReport``/``PhaseReport`` float compares
 exactly, over rectangular and triangular corpora, 2-D and 3-D machines,
@@ -36,10 +37,11 @@ from repro.machine import (
     CostParams,
     ParagonModel,
     machine_spec,
-    phase_time_arrays,
+    phase_time_python,
     phase_times_segmented,
 )
 from repro.machine.contention import _EXACT_F64
+from repro.machine.topology import Message
 from repro.obs import clear_spans, set_enabled, span_snapshot
 from repro.runtime import execute, execute_group, execute_python
 from repro.runtime.executor import _vectorizable
@@ -72,9 +74,18 @@ def random_phases(rng, mesh_dims, n_phases, events_per_phase, max_size=9):
     return senders, receivers, sizes, phase_ids
 
 
+def python_report(mesh, senders, receivers, sizes, params):
+    """`phase_time_python` on the messages of endpoint/size arrays."""
+    msgs = [
+        Message(tuple(s), tuple(d), z)
+        for s, d, z in zip(senders.tolist(), receivers.tolist(), sizes.tolist())
+    ]
+    return phase_time_python(mesh, msgs, params)
+
+
 class TestKernelBitIdentity:
     """`phase_times_segmented` segment-by-segment against
-    `phase_time_arrays`, on 2-D and 3-D meshes."""
+    `phase_time_python`, on 2-D and 3-D meshes."""
 
     @pytest.mark.parametrize("dims", [(4, 4), (3, 2), (2, 2, 2), (3, 2, 2)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -93,7 +104,7 @@ class TestKernelBitIdentity:
         assert len(srep) == 5
         for pid in range(5):
             m = phase_ids == pid
-            want = phase_time_arrays(
+            want = python_report(
                 mesh, senders[m], receivers[m], sizes[m], params
             )
             assert srep.report(pid) == want, (dims, seed, pid)
@@ -109,9 +120,7 @@ class TestKernelBitIdentity:
             CostParams(), n_phases=3,
         )
         assert len(srep) == 3
-        empty = phase_time_arrays(
-            mesh, senders[:0], receivers[:0], sizes[:0], CostParams()
-        )
+        empty = phase_time_python(mesh, [], CostParams())
         assert srep.report(1) == empty and srep.report(2) == empty
 
     def test_all_local_and_empty_inputs(self):
@@ -132,7 +141,7 @@ class TestKernelBitIdentity:
 
     def test_magnitude_guard_takes_exact_fallback(self):
         """Sizes past the float64-exact bound still price bit-identical
-        (through the per-phase exact fallback)."""
+        to the per-link oracle (on exact Python-int sums)."""
         mesh = ParagonModel(4, 4).mesh
         big = _EXACT_F64  # one message already overflows the guard
         senders = np.array([[0, 0], [0, 0], [1, 0]], dtype=np.int64)
@@ -145,7 +154,7 @@ class TestKernelBitIdentity:
         )
         for pid in range(2):
             m = phase_ids == pid
-            assert srep.report(pid) == phase_time_arrays(
+            assert srep.report(pid) == python_report(
                 mesh, senders[m], receivers[m], sizes[m], params
             )
 

@@ -77,6 +77,11 @@ pricing entry point (``phase_time_arrays``) stays below
 ``PHASE_CALL_CEILING`` calls and ``phase_times_segmented`` actually
 ran — the call-count record lands in the same artifact
 (``phase_time_arrays_calls`` / ``segmented_kernel_launches``).
+
+``--profile`` also profiles one large size-ladder point on its own
+(``LADDER_POINT``: ``example1`` on a 16x16 Paragon at N=M=64, cold)
+and records it under ``ladder_point``, so the artifact also shows the
+asymptotic costs; no gate reads it.
 """
 
 from __future__ import annotations
@@ -101,6 +106,94 @@ PROFILE_TOP_N = 30
 PHASE_CALL_CEILING = 48
 
 
+#: the one large size-ladder point, profiled on its own from cold
+#: caches: (named nest, machine, mesh, size bindings).  At ~0.5 M
+#: element communications extraction, folding and phase partition show
+#: their asymptotics instead of per-call overhead, which the reference
+#: scenarios (4x4/2x2 meshes) cannot; the gates below never read it
+LADDER_POINT = ("example1", "paragon", (16, 16), {"N": 64, "M": 64})
+
+
+def _hotspots(stats, top_n: int) -> list:
+    """The ``top_n`` functions of a ``pstats.Stats`` by cumulative
+    time, as ``BENCH_profile.json`` rows."""
+    root = os.path.dirname(BENCH_DIR)
+    rows = []
+    for func, (_cc, nc, tt, ct, _callers) in sorted(
+        stats.stats.items(), key=lambda kv: -kv[1][3]
+    ):
+        fname, line, name = func
+        rows.append(
+            {
+                "function": name,
+                "file": os.path.relpath(fname, root)
+                if fname.startswith(root)
+                else fname,
+                "line": line,
+                "ncalls": nc,
+                "tottime_s": round(tt, 4),
+                "cumtime_s": round(ct, 4),
+            }
+        )
+        if len(rows) >= top_n:
+            break
+    return rows
+
+
+def _profile_ladder_point(top_n: int) -> dict:
+    """Profile one cold op at :data:`LADDER_POINT`: compile (every
+    library cache emptied first), fold and ``execute``."""
+    import cProfile
+    import pstats
+
+    from repro import compile_nest
+    from repro.campaign import clear_baseline_cache, clear_compile_cache, corpus
+    from repro.ir import clear_dependence_caches
+    from repro.linalg import clear_caches
+    from repro.machine import machine_spec
+    from repro.runtime import execute
+
+    name, machine_name, mesh, params = LADDER_POINT
+    workload = {w.name: w for w in corpus()}[name]
+    clear_compile_cache()
+    clear_baseline_cache()
+    clear_caches()
+    clear_dependence_caches()
+
+    prof = cProfile.Profile()
+    t0 = time.perf_counter()
+    prof.enable()
+    nest = workload.resolve()
+    compiled = compile_nest(
+        nest,
+        m=len(mesh),
+        schedules=workload.resolve_schedules(nest),
+        params=dict(workload.params),
+        check_legality=workload.check_legality,
+        name=workload.name,
+    )
+    spec = machine_spec(machine_name)
+    machine = spec.make(mesh)
+    report = execute(
+        compiled.program(machine, params),
+        machine,
+        collectives=spec.make_collectives(mesh),
+    )
+    prof.disable()
+    wall = time.perf_counter() - t0
+    binds = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+    return {
+        "scenario": (
+            f"{name} on {machine_name} {'x'.join(map(str, mesh))}, "
+            f"{binds}, cold (compile + fold + execute)"
+        ),
+        "wall_seconds": round(wall, 3),
+        "events": sum(s.events for s in report.per_access.values()),
+        "top_n": top_n,
+        "hotspots": _hotspots(pstats.Stats(prof), top_n),
+    }
+
+
 def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     """Profile the reference scenarios and record the hotspots.
 
@@ -108,7 +201,8 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     campaign grid — compile + price over the default workload corpus —
     and the reference pricing workload of ``bench_runtime_exec.py``,
     then writes the ``top_n`` functions by cumulative time to
-    ``BENCH_profile.json``.
+    ``BENCH_profile.json``; the large :data:`LADDER_POINT` is profiled
+    separately and recorded under its own ``ladder_point`` key.
     """
     import cProfile
     import pstats
@@ -139,26 +233,7 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     wall = time.perf_counter() - t0
 
     stats = pstats.Stats(prof)
-    stats.sort_stats("cumulative")
-    rows = []
-    for func, (cc, nc, tt, ct, _callers) in sorted(
-        stats.stats.items(), key=lambda kv: -kv[1][3]
-    ):
-        fname, line, name = func
-        rows.append(
-            {
-                "function": name,
-                "file": os.path.relpath(fname, os.path.dirname(BENCH_DIR))
-                if fname.startswith(os.path.dirname(BENCH_DIR))
-                else fname,
-                "line": line,
-                "ncalls": nc,
-                "tottime_s": round(tt, 4),
-                "cumtime_s": round(ct, 4),
-            }
-        )
-        if len(rows) >= top_n:
-            break
+    rows = _hotspots(stats, top_n)
 
     by_name: dict = {}
     for r in rows:
@@ -178,11 +253,14 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     phase_array_calls = _ncalls("phase_time_arrays")
     kernel_launches = _ncalls("phase_times_segmented")
 
+    ladder = _profile_ladder_point(top_n)
+
     from _harness import record_bench
 
     record_bench(
         "profile",
         {
+            "ladder_point": ladder,
             "scenario": (
                 "cold campaign default grid (4 nests + corpus, meshes "
                 "4x4+2x2, jobs=1, fresh process so every compile/"
@@ -199,13 +277,16 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
             "hotspots": rows,
         },
     )
-    top = rows[:5]
-    print("top cumulative hotspots:")
-    for r in top:
-        print(
-            f"  {r['cumtime_s']:>8.3f}s  {r['function']} "
-            f"({r['file']}:{r['line']})"
-        )
+    for title, hot in (
+        ("reference scenarios", rows),
+        (ladder["scenario"], ladder["hotspots"]),
+    ):
+        print(f"top cumulative hotspots, {title}:")
+        for r in hot[:5]:
+            print(
+                f"  {r['cumtime_s']:>8.3f}s  {r['function']} "
+                f"({r['file']}:{r['line']})"
+            )
 
     # the PR-5 regression gate: the legality checker's bounded witness
     # enumeration used to dominate compile time; the vectorized domain

@@ -22,13 +22,13 @@ The two consumers shape the API:
   :meth:`Domain.halfspaces` returns the ``(A, off)`` pair that turns
   membership of a dense ``(n, d)`` int64 point matrix into one matmul
   plus a comparison (:meth:`Domain.mask`);
-* **enumeration** (runtime extraction, bounded legality witnesses)
-  wants the points — :meth:`Domain.point_matrix` materializes the
-  rectangular *bounding box* (``np.meshgrid``, ``itertools.product``
-  row order — the PR-4 dense path) and filters it with the vectorized
-  membership mask, so the int64-matmul pipeline downstream survives
-  intact.  :meth:`Domain.enumerate_points` is the scalar twin with the
-  same point order.
+* **enumeration** (bounded legality witnesses) wants the points —
+  :meth:`Domain.point_matrix` materializes the rectangular *bounding
+  box* (``np.meshgrid``, ``itertools.product`` row order) and filters
+  it with the vectorized membership mask.  :meth:`Domain.enumerate_points`
+  is the scalar twin with the same point order.  The runtime extraction
+  needs no points: it evaluates its affine forms over :meth:`Domain.box`
+  directly (``repro.runtime.mapping``).
 """
 
 from __future__ import annotations
@@ -286,8 +286,7 @@ class Domain:
 
         Rectangular domains return the full box (no filtering work);
         non-rectangular ones apply the vectorized membership mask to the
-        box, preserving the box's row order — the dense int64 matmul
-        pipeline of the runtime layer consumes either unchanged.
+        box, preserving the box's row order.
         """
         pts = self._box_matrix(params)
         if self.is_rectangular or pts.shape[0] == 0:

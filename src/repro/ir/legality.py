@@ -23,12 +23,11 @@ wants.  Two kinds of violation are reported:
   one statement).
 
 :func:`schedule_violations` is **vectorized** — statement domains
-become dense int64 point matrices (the same
-:meth:`~repro.ir.domain.Domain.point_matrix` arrays the runtime layer
-consumes), schedule times and access subscripts are single matmuls over
-whole domains, and subscript collisions are found with one
-``np.unique`` label intersection per access pair instead of the
-quadratic per-element scan.  The per-element implementation is kept as
+become dense int64 point matrices
+(:meth:`~repro.ir.domain.Domain.point_matrix`), schedule times and
+access subscripts are single matmuls over whole domains, and subscript
+collisions are found with one ``np.unique`` label intersection per
+access pair instead of the quadratic per-element scan.  The per-element implementation is kept as
 :func:`schedule_violations_python`, the measured baseline the
 vectorized path is asserted bit-identical against (messages and order
 included) — the same old-vs-new pattern as ``phase_time_python`` and

@@ -13,8 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def unique_rows(stacked: np.ndarray):
-    """``np.unique(stacked, axis=0, return_counts=True)``.
+def unique_rows(stacked, select=None):
+    """``np.unique(stacked[select], axis=0, return_counts=True)``.
+
+    ``stacked`` is an ``(n, k)`` matrix or the sequence of its ``k``
+    ``(n,)`` columns (the executor passes a batch's separate time and
+    coordinate arrays without stacking them); ``select``, when given,
+    indexes the rows to group.
 
     ``np.unique(..., axis=0)`` compares rows as opaque byte strings,
     which makes its sort the single hottest call of a pricing run.
@@ -23,13 +28,19 @@ def unique_rows(stacked: np.ndarray):
     each column by its minimum every row packs into one int64 key whose
     scalar order equals the row's lexicographic order — a 1-D unique
     over the keys returns the same rows in the same order and the same
-    counts, roughly an order of magnitude faster.  Rows that cannot
-    pack (> 63 key bits of per-column span) fall back to the axis
-    unique.
+    counts, roughly an order of magnitude faster.  The key is packed
+    over all ``n`` rows and only the key is gathered at ``select``, so
+    no column is gathered.  Rows that cannot pack (> 63 key bits of
+    per-column span) fall back to the axis unique.
     """
-    n, ncols = stacked.shape
-    if n and ncols and np.issubdtype(stacked.dtype, np.integer):
-        cols = [stacked[:, j] for j in range(ncols)]
+    if isinstance(stacked, np.ndarray):
+        n, ncols = stacked.shape
+        cols = list(stacked.T)
+    else:
+        cols = list(stacked)
+        n, ncols = cols[0].shape[0], len(cols)
+        stacked = None
+    if n and ncols and np.issubdtype(cols[0].dtype, np.integer):
         # per-column bounds as exact Python ints: the shifted values are
         # non-negative and the bit-width check can't itself overflow
         mins = [int(c.min()) for c in cols]
@@ -42,6 +53,8 @@ def unique_rows(stacked: np.ndarray):
             for j in range(1, ncols):
                 keys <<= bits[j]
                 keys |= cols[j] - lows[j]
+            if select is not None:
+                keys = keys[select]
             ukeys, counts = np.unique(keys, return_counts=True)
             # column-major, like the extraction arrays it is built from
             uniq = np.empty((ncols, ukeys.shape[0]), dtype=np.int64).T
@@ -50,6 +63,10 @@ def unique_rows(stacked: np.ndarray):
                 ukeys = ukeys >> bits[j]
             uniq[:, 0] = ukeys + lows[0]
             return uniq, counts
+    if stacked is None:
+        stacked = np.stack(cols, axis=1)
+    if select is not None:
+        stacked = stacked[select]
     return np.unique(stacked, axis=0, return_counts=True)
 
 

@@ -19,8 +19,9 @@ without modelling flit-level detail (the event-driven simulator in
 One kernel, :func:`phase_times_segmented`, prices every phase, many
 at once, in closed form: every leg of a dimension-order route is a
 contiguous interval of links (:func:`_leg_intervals`), so per-link
-loads follow from each leg's two end points (a sort and a running sum)
-without building any route.  The runtime executor calls it through the
+loads follow from each leg's two end points (one sort of packed
+``key | end-bit | size`` values and a running sum) without building any
+route.  The runtime executor calls it through the
 machine presets' ``time_phases_segmented``; the single-phase
 :func:`phase_time` / :func:`phase_time_arrays` (the presets'
 ``time_phase``, used by ``execute_python`` and ``time_general``) price
@@ -227,7 +228,11 @@ def phase_times_segmented(
       ``phase * (num_links + 1) + link``; one sort and one ``cumsum``
       give every loaded link's load, and a per-segment max the
       bottleneck — exact, as the max does not depend on the link
-      numbering.  The work is O(messages * rank), not O(total hops);
+      numbering.  The sort is a plain ``np.sort`` of one int64 array
+      packing ``key | end-bit | size``; only where that takes more than
+      63 bits, or sizes are Python ints past the magnitude guard, the
+      keys are argsorted and the signed sizes gathered instead.  The
+      work is O(messages * rank), not O(total hops);
     * hops are ``|dst - src|_1``, fan-out a count per (phase, sender).
 
     Bit-identical per segment to the per-link oracle
@@ -299,11 +304,30 @@ def phase_times_segmented(
     keys = np.concatenate(
         [base + s for s in starts] + [base + s + w for s, w in zip(starts, lens)]
     )
-    order = np.argsort(keys)
-    keys = keys[order]
-    running = np.cumsum(
-        np.concatenate([sizes] * len(starts) + [-sizes] * len(starts))[order]
-    )
+    size_bits = max(int(sizes.max()).bit_length(), 1)
+    if (
+        sizes.dtype != object
+        and (n_phases * stride).bit_length() + 1 + size_bits <= 63
+    ):
+        # one plain sort of packed ``key | end-bit | size`` values; the
+        # order within a run of equal keys does not change the running
+        # sum at the run's last entry
+        end_bit = np.int64(1 << size_bits)
+        keys <<= size_bits + 1
+        keys |= np.concatenate(
+            [sizes] * len(starts) + [sizes | end_bit] * len(starts)
+        )
+        keys.sort()
+        deltas = keys & ((1 << size_bits) - 1)
+        np.negative(deltas, out=deltas, where=(keys & end_bit) != 0)
+        keys >>= size_bits + 1
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+        deltas = np.concatenate(
+            [sizes] * len(starts) + [-sizes] * len(starts)
+        )[order]
+    running = np.cumsum(deltas)
     ends = np.flatnonzero(keys[1:] != keys[:-1])
     max_load = segment_max(running[ends], keys[ends] // stride, n_phases)
 

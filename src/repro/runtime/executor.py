@@ -19,13 +19,19 @@ is its one-cell case).  It consumes the dense per-access arrays of
 element communication; polyhedral domains arrive already masked down to
 their in-domain rows, so the executor never re-enumerates an iteration
 set) and replaces the per-event Python bucketing with array reductions:
-virtual/physical locality masks are whole-column comparisons, and the
+virtual/physical locality masks are whole-column comparisons (none at
+all for an access that shares its statement's placement array), and the
 per-time-step phase split plus the ``(sender, receiver)`` pair
-coalescing are one packed ``unique_rows`` group-by per batch
+coalescing are one packed ``unique_rows`` group-by per batch, which
+packs every row's ``[time | sender | receiver]`` into one int64 key and
+gathers only that key at the send rows
 (:meth:`~repro.runtime.mapping.CommBatch.phase_partition`).  All phases
 of one label then price in one call of the machine's
 ``time_phases_segmented`` kernel (or the collectives'
-``macro_times_segmented`` lane for macro labels).  The original
+``macro_times_segmented`` lane for macro labels), and the per-phase
+times fold into the label and report totals through one ``np.cumsum``
+each — a strict left-to-right sum, the float order of the per-phase
+loop.  The original
 per-event implementation is kept as :func:`execute_python`; the two are
 bit-identical (asserted on randomized generated workloads and the
 paper's seed scenarios in ``tests/runtime/test_runtime_vectorized.py``
@@ -106,6 +112,13 @@ def _vectorizable(program: MappedProgram, label: str) -> bool:
         return False
 
 
+def _running_sum(total: float, times: np.ndarray) -> float:
+    """``total`` plus every entry of ``times``, added strictly left to
+    right (``np.cumsum`` accumulates sequentially, never pairwise) —
+    the float result of ``for t in times: total += t``."""
+    return float(np.cumsum(np.concatenate(([total], times)))[-1])
+
+
 def _price_label(
     program: MappedProgram,
     machine: MachineModel,
@@ -122,8 +135,8 @@ def _price_label(
     segment offsets; the machine's ``time_phases_segmented`` kernel
     prices all segments at once, macro labels go down the collectives'
     ``macro_times_segmented`` lane.  Returns the **per-phase** times in
-    phase order — callers fold them into their running totals one phase
-    at a time, the exact float accumulation sequence of
+    phase order — callers fold them into their running totals with
+    :func:`_running_sum`, the exact float accumulation sequence of
     :func:`execute_python`, so ``CommReport`` totals stay bit-identical.
     """
     n_phases = seg.n_phases
@@ -147,10 +160,8 @@ def _price_label(
                 seg.phase_ids(),
                 n_phases,
             ).times
-    ts = times.tolist()
-    for t in ts:
-        st.time += t
-    return ts
+    st.time = _running_sum(st.time, times)
+    return times
 
 
 def _report(
@@ -266,11 +277,10 @@ def execute_group(
         for k, (program, machine, coll) in enumerate(cells):
             if not sends[k]:
                 continue
-            for t in _price_label(
+            totals[k] = _running_sum(totals[k], _price_label(
                 program, machine, coll, per_access[k][label], label,
                 batch_lists[k][bi].phase_partition(vec), payload, rank,
-            ):
-                totals[k] += t
+            ))
     return [_report(per_access[k], totals[k]) for k in range(K)]
 
 

@@ -14,19 +14,20 @@ per physical dimension.  The virtual grid dimension ``m`` must equal
 the mesh rank — a mismatch raises a friendly error instead of the old
 silent collapse-by-summation of extra virtual dimensions.
 
-The communication extraction is **vectorized**: each statement's
-polyhedral iteration domain becomes one dense integer index matrix —
-the rectangular *bounding box* (``np.meshgrid`` over the bounds, points
-in ``itertools.product`` order) filtered by the domain's vectorized
-membership mask (one int64 matmul against the half-space system; see
-:meth:`repro.ir.Domain.point_matrix`), so triangular/trapezoidal nests
-ride the same dense path and rectangular nests skip the mask entirely.
-Placements are single integer matmuls over the whole domain — an array
-owner one composed stage ``(M_x F) I + (M_x c + a_x)`` — giving
-column-major arrays, and :class:`Folding` applies its modular
-arithmetic to whole columns, once per distinct virtual array
-(:meth:`Folding.fold_array`).  The executor prices the pre-masked
-batches directly — it never re-enumerates a domain.  The arrays — one :class:`CommBatch` per
+The communication extraction is **vectorized** and never materializes
+a domain's points: every affine form of a statement — its schedule
+``theta``, its placement ``(M_s, a_s)`` and each access owner composed
+into one stage ``(M_x F) I + (M_x c + a_x)`` — is evaluated in one
+broadcast over the rectangular *bounding box* of the iteration domain
+(:meth:`repro.ir.Domain.box`; points in ``itertools.product`` order),
+and polyhedral (triangular/trapezoidal) domains keep the box points that
+satisfy their half-space system, evaluated the same way.  An access
+whose owner map equals its statement's placement reuses the placement
+array itself.  The results are column-major ``(n, r)`` arrays, and
+:class:`Folding` applies its modular arithmetic to whole columns, once
+per distinct virtual array (:meth:`Folding.fold_array`).  The executor
+prices the pre-masked batches directly — it never re-enumerates a
+domain.  The arrays — one :class:`CommBatch` per
 access — feed the executor's group-by pricing directly; the original
 per-element path is kept as :meth:`MappedProgram.comm_events_python`,
 the measured baseline that the vectorized path is asserted bit-identical
@@ -152,16 +153,32 @@ class Folding:
         Applies the shift-and-clamp modulo and the per-dimension 1-D
         distribution to whole columns at once; bit-identical to the
         scalar path (``%`` floor-mod semantics match between Python ints
-        and numpy int64).
+        and numpy int64).  A column whose value range is shorter than
+        the column folds through a lookup table over that range — one
+        gather in place of the modulo and the scheme's divisions per
+        row.
         """
         if virtual.ndim != 2 or virtual.shape[1] != self.rank:
             raise ValueError(
                 f"cannot fold a {virtual.shape}-shaped coordinate array "
                 f"onto a {self.rank}-D mesh: expected (n, {self.rank})"
             )
-        out = np.empty_like(virtual)
+        n = virtual.shape[0]
+        # column-major, like the extraction arrays
+        out = np.empty((self.rank, n), dtype=virtual.dtype).T
         for j, d in enumerate(self._dists):
-            out[:, j] = d.phys_array(virtual[:, j] % self.extent)
+            col = virtual[:, j]
+            lo = int(col.min()) if n else 0
+            hi = int(col.max()) if n else 0
+            if hi - lo + 1 < n:
+                table = d.phys_array(
+                    np.arange(lo, hi + 1, dtype=virtual.dtype) % self.extent
+                )
+                # every index is in [0, hi - lo]: "clip" never clips,
+                # it only skips the bounds-checked buffered gather
+                np.take(table, col - lo, out=out[:, j], mode="clip")
+            else:
+                out[:, j] = d.phys_array(col % self.extent)
         return out
 
 
@@ -222,11 +239,13 @@ class PhaseSegments:
 
 
 def build_phase_segments(
-    rows: np.ndarray, time_width: int = 0
+    rows, time_width: int = 0, select: Optional[np.ndarray] = None
 ) -> PhaseSegments:
     """Group raw ``[time | sender | receiver]`` event rows (the first
-    ``time_width`` columns are the time vector) into the
-    :class:`PhaseSegments` layout with **one** ``unique_rows`` call.
+    ``time_width`` columns are the time vector; ``rows`` is a matrix or
+    its sequence of columns, ``select`` the rows to group, all when
+    omitted) into the :class:`PhaseSegments` layout with **one**
+    ``unique_rows`` call.
 
     Events group into one phase per distinct time vector: the unique
     sorts time-major, so segment boundaries are where the time prefix
@@ -236,7 +255,7 @@ def build_phase_segments(
     (vectorizable access, or a width-0 schedule) every event lands in
     one phase; no events means no phases.
     """
-    uniq, counts = unique_rows(rows)
+    uniq, counts = unique_rows(rows, select=select)
     pairs = uniq[:, time_width:]
     u = pairs.shape[0]
     if u == 0:
@@ -261,7 +280,11 @@ class CommBatch:
 
     One row per iteration-domain point, in ``itertools.product`` order
     (the exact order :meth:`MappedProgram.comm_events_python` emits
-    events in).  All arrays are int64.
+    events in).  All arrays are int64.  An access whose owner map equals
+    its statement's placement holds the statement's array as both
+    virtual sides (and its folding as both physical sides): every row
+    is virtual-local, which the masks read from that identity instead
+    of comparing.
 
     The executor's group-by reductions over a batch — locality masks
     and the per-phase ``np.unique`` pair coalescing — are **memoized on
@@ -295,7 +318,10 @@ class CommBatch:
         compiled nest — their virtual arrays are the same objects."""
         mask = self.__dict__.get("_virt_local")
         if mask is None:
-            mask = rows_equal(self.sender_virtual, self.receiver_virtual)
+            if self.sender_virtual is self.receiver_virtual:
+                mask = np.ones(self.n, dtype=bool)
+            else:
+                mask = rows_equal(self.sender_virtual, self.receiver_virtual)
             self.__dict__["_virt_local"] = mask
         return mask
 
@@ -309,37 +335,17 @@ class CommBatch:
         cached = self.__dict__.get("_locality")
         if cached is None:
             virt_local = self.virtual_local_mask()
-            nonlocal_mask = ~virt_local
-            phys_local = nonlocal_mask & rows_equal(self.sender, self.receiver)
-            send = nonlocal_mask & ~phys_local
+            if self.sender_virtual is self.receiver_virtual:
+                phys_local = send = np.zeros(self.n, dtype=bool)
+            else:
+                nonlocal_mask = ~virt_local
+                phys_local = nonlocal_mask & rows_equal(
+                    self.sender, self.receiver
+                )
+                send = nonlocal_mask & ~phys_local
             cached = (virt_local, phys_local, send)
             self.__dict__["_locality"] = cached
         return cached
-
-    def send_rows(self) -> np.ndarray:
-        """``time | sender | receiver`` rows of the surviving (send)
-        events, memoized; gathered column by column into a column-major
-        array (an index gather per column is several times faster than
-        a boolean row mask over the whole matrix)."""
-        rows = self.__dict__.get("_send_rows")
-        if rows is None:
-            send = np.flatnonzero(self.locality_masks()[2])
-            cols = [
-                a[:, j]
-                for a in (self.times, self.sender, self.receiver)
-                for j in range(a.shape[1])
-            ]
-            rows = np.empty((len(cols), send.shape[0]), dtype=np.int64)
-            for out, col in zip(rows, cols):
-                np.take(col, send, out=out)
-            rows = rows.T
-            self.__dict__["_send_rows"] = rows
-        return rows
-
-    def send_pairs(self) -> np.ndarray:
-        """``sender | receiver`` columns of :meth:`send_rows` — the
-        executor's phase group-by input."""
-        return self.send_rows()[:, self.times.shape[1]:]
 
     def phase_partition(self, vectorizable: bool) -> PhaseSegments:
         """The batch's send events grouped into priced phases, in the
@@ -350,49 +356,67 @@ class CommBatch:
         otherwise phases follow ascending time order (matching the
         per-event path's sorted bucket keys), each phase's rows
         lex-sorted — exactly the per-phase ``np.unique`` outputs,
-        concatenated.  One packed ``unique_rows`` call per batch,
-        memoized per ``vectorizable`` flag.
+        concatenated.  One packed ``unique_rows`` call per batch over
+        the batch's columns, gathering only the packed key at the send
+        rows; memoized per ``vectorizable`` flag.
         """
         cache = self.__dict__.setdefault("_phase_partition", {})
         hit = cache.get(vectorizable)
         if hit is not None:
             return hit
-        if vectorizable:
-            seg = build_phase_segments(self.send_pairs())
-        else:
-            seg = build_phase_segments(self.send_rows(), self.times.shape[1])
+        send = np.flatnonzero(self.locality_masks()[2])
+        arrays = (self.sender, self.receiver)
+        time_width = 0
+        if not vectorizable:
+            arrays = (self.times,) + arrays
+            time_width = self.times.shape[1]
+        cols = [a[:, j] for a in arrays for j in range(a.shape[1])]
+        seg = build_phase_segments(cols, time_width, select=send)
         cache[vectorizable] = seg
         return seg
 
 
-def _domain_matrix(stmt, params: Dict[str, int]) -> np.ndarray:
-    """The statement's iteration domain as an ``(n, d)`` int64 matrix,
-    points in bounding-box ``itertools.product`` row-major order.
+def _box_affine(
+    box: Sequence[Tuple[int, int]], mat: np.ndarray, off: np.ndarray
+) -> np.ndarray:
+    """``mat @ I + off`` at every point ``I`` of the box (per-variable
+    ``(lo, hi)`` bounds), as an ``(r, n)`` int64 array with points in
+    ``itertools.product`` order.
 
-    Delegates to :meth:`repro.ir.Domain.point_matrix`: rectangular
-    domains return the dense box unchanged (the historical layout);
-    triangular/trapezoidal domains return the box rows that survive the
-    vectorized membership mask — the exact rows (and order)
-    ``Statement.iteration_domain`` enumerates."""
-    return stmt.domain.point_matrix(params)
+    No point matrix is built: the whole affine matrix is broadcast one
+    loop variable at a time, each step extending the partial sums of
+    the outer variables by one axis, so the work is one pass over the
+    output plus the (shorter) outer prefixes.
+    """
+    r = mat.shape[0]
+    if any(hi < lo for lo, hi in box):
+        return np.empty((r, 0), dtype=np.int64)
+    acc = off.reshape(r, 1)
+    for k, (lo, hi) in enumerate(box):
+        axis = np.arange(lo, hi + 1, dtype=np.int64)
+        step = mat[:, k, None] * axis
+        acc = (acc[:, :, None] + step[:, None, :]).reshape(
+            r, acc.shape[1] * axis.shape[0]
+        )
+    return acc
 
 
-def _affine_rows(idx: np.ndarray, mat: IntMat, off: Optional[IntMat]) -> np.ndarray:
-    """Evaluate ``mat @ I + off`` for every domain row of ``idx`` in one
-    integer matmul: returns an ``(n, mat.nrows)`` column-major array
-    (``mat @ idx.T`` transposed — several times faster than
-    ``idx @ mat.T`` on tall ``idx``, and later stages read columns)."""
-    out = mat.to_numpy() @ idx.T
-    if off is not None:
-        out = out + off.to_numpy()
-    return out.T
+def _box_inside(domain, box, params: Dict[str, int]) -> Optional[np.ndarray]:
+    """Flat indices (ascending, into :func:`_box_affine`'s point order)
+    of the box points inside a polyhedral ``domain``: its half-space
+    system evaluated over the box.  ``None`` for a rectangular domain,
+    whose box is the domain."""
+    if domain.is_rectangular:
+        return None
+    a, off = domain.halfspaces(params)
+    return np.flatnonzero((_box_affine(box, a, off) >= 0).all(axis=0))
 
 
-def _vector_bound_ok(idx: np.ndarray, *stages) -> bool:
+def _vector_bound_ok(bound: int, *stages) -> bool:
     """Prove no int64 overflow is possible through the chained affine
-    stages ``(mat, off)`` applied to ``idx`` (same style as the IntMat
-    matmul fast-path bound).  Conservative: uses max-abs magnitudes."""
-    bound = max(-int(idx.min()), int(idx.max())) if idx.size else 0
+    stages ``(mat, off)`` applied to points whose coordinates are at
+    most ``bound`` in magnitude (same style as the IntMat matmul
+    fast-path bound).  Conservative: uses max-abs magnitudes."""
     for mat, off in stages:
         k = mat.ncols
         bound = k * mat.max_abs() * bound + (off.max_abs() if off is not None else 0)
@@ -496,32 +520,68 @@ class MappedProgram:
         sched = self.mapping.schedules
         out = []
         for stmt in al.nest.statements:
-            idx = _domain_matrix(stmt, self.params)
+            domain = stmt.domain
+            box = domain.box(self.params)
+            # the box hull bounds every evaluated point, in-domain or not
+            hull = max((max(-lo, hi) for lo, hi in box), default=0)
             theta = sched.schedule_of(stmt.name).theta
             m_s = al.allocation_of_stmt(stmt.name)
             a_s = al.offset_of_stmt(stmt.name)
-            if not _vector_bound_ok(idx, (theta, None)) or not _vector_bound_ok(
-                idx, (m_s, a_s)
+            if not _vector_bound_ok(hull, (theta, None)) or not _vector_bound_ok(
+                hull, (m_s, a_s)
             ):
                 cache[key] = None  # poison: caller falls back per call
                 return None
-            times = _affine_rows(idx, theta, None)
-            stmt_v = _affine_rows(idx, m_s, a_s)
+            # every affine form of the statement — its schedule, its
+            # placement, and each access owner map that differs from the
+            # placement — evaluated in one broadcast over the box
+            forms = [(theta, IntMat.zeros(theta.nrows, 1)), (m_s, a_s)]
+            owner_form = []
             for acc in stmt.accesses:
-                label = acc.label or f"{stmt.name}:{acc.array}"
                 m_x = al.allocation_of_array(acc.array)
                 a_x = al.offset_of_array(acc.array)
-                if not _vector_bound_ok(idx, (acc.F, acc.c), (m_x, a_x)):
+                # one exact stage (M_x F) I + (M_x c + a_x), composed in
+                # IntMat arithmetic
+                owner_map = (m_x @ acc.F, m_x @ acc.c + a_x)
+                if owner_map == (m_s, a_s):
+                    # the statement's own placement: the same array
+                    # (folded once, virtual-local on every row)
+                    owner_form.append(1)
+                elif _vector_bound_ok(hull, (acc.F, acc.c), (m_x, a_x)):
+                    # no partial sum of the composed stage exceeds the
+                    # chained bound just proven
+                    owner_form.append(len(forms))
+                    forms.append(owner_map)
+                else:
                     cache[key] = None
                     return None
-                # one exact stage (M_x F) I + (M_x c + a_x): composed in
-                # IntMat arithmetic, and no partial sum of it exceeds
-                # the chained bound just proven
-                owner_v = _affine_rows(idx, m_x @ acc.F, m_x @ acc.c + a_x)
+            vals = _box_affine(
+                box,
+                np.array(
+                    [row for mat, _ in forms for row in mat.rows()],
+                    dtype=np.int64,
+                ),
+                np.array(
+                    [x for _, off in forms for x in off.column_tuple(0)],
+                    dtype=np.int64,
+                ),
+            )
+            keep = _box_inside(domain, box, self.params)
+            if keep is not None:
+                vals = vals[:, keep]
+            # per form, its (n, r) column-major rows: later stages read
+            # columns
+            arrays, row = [], 0
+            for mat, _ in forms:
+                arrays.append(vals[row:row + mat.nrows].T)
+                row += mat.nrows
+            times, stmt_v = arrays[0], arrays[1]
+            for acc, f in zip(stmt.accesses, owner_form):
+                label = acc.label or f"{stmt.name}:{acc.array}"
                 if acc.kind is AccessKind.READ:
-                    sv, rv = owner_v, stmt_v
+                    sv, rv = arrays[f], stmt_v
                 else:
-                    sv, rv = stmt_v, owner_v
+                    sv, rv = stmt_v, arrays[f]
                 out.append((label, stmt.name, times, sv, rv))
         cache[key] = out
         return out

@@ -54,6 +54,36 @@ class TestUniqueRows:
         assert uniq.shape == (0, 4)
         assert counts.shape == (0,)
 
+    def assert_select_matches(self, arr, select):
+        want_u, want_c = np.unique(arr[select], axis=0, return_counts=True)
+        # as a matrix and as the sequence of its columns
+        for rows in (arr, [arr[:, j] for j in range(arr.shape[1])]):
+            uniq, counts = unique_rows(rows, select=select)
+            assert np.array_equal(uniq, want_u)
+            assert np.array_equal(counts, want_c)
+
+    @pytest.mark.parametrize("cols", [1, 3, 7])
+    def test_select_matches_axis_unique_of_selected(self, cols):
+        rng = np.random.default_rng(cols)
+        arr = rng.integers(-9, 30, size=(400, cols), dtype=np.int64)
+        select = np.flatnonzero(rng.random(400) < 0.3)
+        self.assert_select_matches(arr, select)
+
+    def test_select_wide_values_fall_back(self):
+        # the unselected rows alone make the key wider than 63 bits
+        arr = np.array(
+            [[2**40, 1, 2**40], [0, 1, 3], [0, 0, 1], [0, 1, 3]],
+            dtype=np.int64,
+        )
+        self.assert_select_matches(arr, np.array([1, 2, 3]))
+
+    def test_select_nothing(self):
+        arr = np.arange(12, dtype=np.int64).reshape(4, 3)
+        self.assert_select_matches(arr, np.empty(0, dtype=np.int64))
+        uniq, counts = unique_rows(arr, select=np.empty(0, dtype=np.int64))
+        assert uniq.shape == (0, 3)
+        assert counts.shape == (0,)
+
 
 class TestPhaseTimeArrays:
     """The array-native ``time_phase`` surface must price exactly like

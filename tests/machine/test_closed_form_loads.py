@@ -171,6 +171,47 @@ class TestMagnitudeGuard:
         assert got.max_link_load == got.total_volume == 2**64
 
 
+class TestPackedSort:
+    """Link loads sort one packed ``key | end-bit | size`` array while
+    that fits in 63 bits; past it the kernel argsorts the keys.  On a
+    4 x 4 mesh (81 link slots) with 64 phases the keys take 13 bits, so
+    sizes of 49 bits pack and sizes of 50 bits do not."""
+
+    @pytest.fixture
+    def argsorts(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+
+        def spy(*args, **kw):
+            calls.append(1)
+            return argsort(*args, **kw)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        return calls
+
+    @pytest.mark.parametrize("size_bits, packed", [(49, True), (50, False)])
+    def test_width_boundary(self, size_bits, packed, argsorts):
+        mesh = Mesh2D(4, 4)
+        senders = np.array([[0, 0], [1, 2], [3, 3], [0, 1]])
+        receivers = np.array([[0, 1], [1, 3], [3, 3], [2, 1]])
+        sizes = np.array([2 ** (size_bits - 1), 5, 7, 3])
+        phase_ids = np.array([0, 63, 63, 63])
+        assert_matches_oracle(mesh, senders, receivers, sizes, phase_ids, 64)
+        assert bool(argsorts) != packed
+        # both below the float64-exact guard: int64 sizes, not Python ints
+        srep = phase_times_segmented(
+            mesh, senders, receivers, sizes, phase_ids, PARAMS, n_phases=64
+        )
+        assert srep.total_volume.dtype == np.int64
+
+    @pytest.mark.parametrize("dims", [(5, 3), (2, 3, 4)], ids=str)
+    def test_random_segments_packed(self, dims, argsorts):
+        rng = np.random.default_rng(len(dims))
+        messages = random_messages(rng, dims, 300, 9)
+        assert_matches_oracle(make_mesh(dims), *messages, 9)
+        assert not argsorts
+
+
 class TestInputValidation:
     def test_negative_size_rejected(self):
         """A negative size is never valid: the per-link oracle would

@@ -176,6 +176,20 @@ class TestMemoization:
         assert r_big == execute_python(c.program(m_big, PARAMS), m_big)
 
 
+#: fold_array inputs on both sides of its lookup-table choice (a table
+#: only where a column's value range is shorter than the column)
+FOLD_INPUTS = {
+    # 77 rows over spans of 31 and 25 values: every column via a table
+    "long_columns": [
+        [v, w] for v in range(-15, 16, 3) for w in range(-5, 20, 4)
+    ],
+    # 5 rows over spans of 81 and 57 values: every column directly
+    "short_columns": [[-40, 9], [40, -27], [0, 29], [-13, 0], [7, 5]],
+    # one column each way: 40 rows, spans 2 and 40
+    "mixed": [[v % 2 - 7, 3 * v - 50] for v in range(40)],
+}
+
+
 class TestFoldArray:
     def test_fold_array_matches_scalar_fold(self):
         import numpy as np
@@ -183,23 +197,20 @@ class TestFoldArray:
         from repro.machine import Mesh2D
         from repro.runtime import Folding
 
-        for schemes in (None, ("block", "grouped"), ("cyclic_block", "cyclic")):
-            kw = {}
-            if schemes == ("block", "grouped"):
-                kw = {"scheme_kw": ({}, {"k": 3})}
-            elif schemes == ("cyclic_block", "cyclic"):
-                kw = {"scheme_kw": ({"block": 2}, {})}
-            f = Folding(
-                mesh=Mesh2D(3, 4), extent=12,
-                **({"schemes": schemes, **kw} if schemes else {}),
-            )
-            virt = np.array(
-                [[v, w] for v in range(-15, 16, 3) for w in range(-5, 20, 4)],
-                dtype=np.int64,
-            )
-            folded = f.fold_array(virt)
-            for row, out in zip(virt.tolist(), folded.tolist()):
-                assert tuple(out) == f.fold(tuple(row))
+        for schemes, scheme_kw in (
+            (None, None),
+            (("block", "grouped"), ({}, {"k": 3})),
+            (("cyclic_block", "cyclic"), ({"block": 2}, {})),
+            (("grouped", "block"), ({"k": 5}, {})),
+        ):
+            kw = {"schemes": schemes, "scheme_kw": scheme_kw} if schemes else {}
+            f = Folding(mesh=Mesh2D(3, 4), extent=12, **kw)
+            for rows in FOLD_INPUTS.values():
+                virt = np.array(rows, dtype=np.int64)
+                folded = f.fold_array(virt)
+                assert folded.dtype == np.int64
+                for row, out in zip(virt.tolist(), folded.tolist()):
+                    assert tuple(out) == f.fold(tuple(row)), (schemes, row)
 
     def test_fold_array_shape_mismatch_rejected(self):
         import numpy as np

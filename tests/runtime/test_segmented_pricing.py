@@ -44,7 +44,7 @@ from repro.machine.contention import _EXACT_F64
 from repro.machine.topology import Message
 from repro.obs import clear_spans, set_enabled, span_snapshot
 from repro.runtime import execute, execute_group, execute_python
-from repro.runtime.executor import _vectorizable
+from repro.runtime.executor import _running_sum, _vectorizable
 
 from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
 
@@ -179,6 +179,39 @@ def assert_segmented_matches_baseline(cells):
     ):
         assert got == want, (machine, program.folding.mesh.dims)
         assert got_g == want, (machine, program.folding.mesh.dims)
+
+
+class TestRunningSum:
+    """Per-phase times fold into the label and report totals through
+    one ``np.cumsum``; it must add strictly left to right, like the
+    Python loop ``for t in times: total += t`` of `execute_python`."""
+
+    @staticmethod
+    def loop(total, times):
+        for t in times.tolist():
+            total += t
+        return total
+
+    def test_cancellation_order(self):
+        times = np.array([1e16, 1.0, -1e16, 1.0, 0.1, 1e-300, -0.1] * 5)
+        for start in (0.0, 3.5, -1e16):
+            got = _running_sum(start, times)
+            assert got == self.loop(start, times)
+            assert type(got) is float
+        # a pairwise or reordered sum would differ on these inputs
+        assert _running_sum(0.0, times) != float(np.sum(times[::-1]))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_magnitudes(self, seed):
+        rng = np.random.default_rng(seed)
+        times = rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.integers(
+            -20, 20, 500
+        )
+        start = float(rng.normal() * 1e10)
+        assert _running_sum(start, times) == self.loop(start, times)
+
+    def test_no_times(self):
+        assert _running_sum(2.5, np.empty(0)) == 2.5
 
 
 class TestExecutorBitIdentityRect:

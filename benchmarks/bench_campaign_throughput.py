@@ -14,22 +14,21 @@ carries the compile-cache hit/miss counts (one compile per nest, K - 1
 hits for the other cells) and a ``tasks_per_second_delta`` against the
 previous ``BENCH_campaign.json`` on disk.
 
-Since batched whole-group pricing, the perf floor moved to where the
-optimization lives: the polyhedral compile of PR 5 made the cold run
-compile-bound (~0.7 s for 16 nests caps the cold grid near 100/s no
-matter how fast pricing gets), so the cold pool run keeps only the
-shape gate and the trend stats, while a **steady-state** inline run —
+The perf floor sits where the compile-once/price-many design pays:
+the polyhedral compile made the cold run compile-bound (~0.7 s for 16
+nests caps the cold grid near 100/s no matter how fast pricing gets),
+so the cold pool run keeps only the shape gate and the trend stats,
+while a **steady-state** inline run —
 compile LRU and baseline-price memo warm, i.e. the price-bound
 compile-once/price-many regime the campaign layer is built around —
 must clear ``max(SPEEDUP_FLOOR x 36.04, TASKS_PER_SECOND_FLOOR)`` =
 200 tasks/s.  Enforced under ``REPRO_PERF_STRICT=1`` (``run_all.py
 --timed``), warned otherwise, same policy as ``bench_perf_core.py``.
 
-``test_batched_vs_per_cell_speedup`` additionally measures the batched
-whole-group pricing path against the per-task loop on a rank-weights
-swept grid (where the baseline price memo also gets to hit), asserts
-the two paths write identical deterministic records, and records the
-speedup and baseline-cache hit rate under ``batched_pricing``.
+``test_rank_weight_sweep_baseline_memo`` runs a rank-weights swept
+grid and asserts the baseline price memo prices each (workload,
+machine, mesh) baseline once: the second knob value's baselines are
+all hits.
 """
 
 import json
@@ -47,9 +46,7 @@ from repro.campaign import (
     compile_cache_stats,
     default_spec,
     run_campaign,
-    set_baseline_cache_size,
     set_compile_cache_dir,
-    set_group_pricing,
     summarize_results,
 )
 from repro.campaign.sweep import canonical_json, group_by_compile_key
@@ -65,7 +62,7 @@ MESHES = ((4, 4), (2, 2))
 #: vectorized-executor work) and the floor the new runner must clear
 BASELINE_TASKS_PER_SECOND = 36.04
 SPEEDUP_FLOOR = 3.0
-#: absolute steady-state floor since batched whole-group pricing landed
+#: absolute steady-state floor (warm compile LRU and baseline memo)
 TASKS_PER_SECOND_FLOOR = 200.0
 #: cold-run floor with a *warm disk* compile cache (fresh process, no
 #: in-memory caches, every compile a disk hit) — the warm-start regime
@@ -148,7 +145,7 @@ def test_campaign_default_grid_gate(tmp_path, benchmark):
 
     # steady-state: the compile LRU and the baseline-price memo are
     # process-persistent, so a repeat campaign is price-bound — the
-    # regime the batched group pricing optimizes and the floor gates.
+    # regime compile-once/price-many is built for and the floor gates.
     # One inline warm-up run fills both caches, the second is measured.
     run_campaign(
         tasks, str(tmp_path / "warmup.jsonl"),
@@ -174,7 +171,7 @@ def test_campaign_default_grid_gate(tmp_path, benchmark):
             f"{steady_tasks_per_second:.1f} tasks/s below the floor of "
             f"{floor:.0f}/s (max of {SPEEDUP_FLOOR}x the recompiling "
             f"baseline {BASELINE_TASKS_PER_SECOND}/s and the "
-            f"batched-pricing floor {TASKS_PER_SECOND_FLOOR:.0f}/s)"
+            f"steady-state floor {TASKS_PER_SECOND_FLOOR:.0f}/s)"
         )
         if STRICT:
             pytest.fail(msg)
@@ -214,7 +211,8 @@ def test_campaign_default_grid_gate(tmp_path, benchmark):
             },
             # no knob sweep on this grid: every (workload, machine,
             # mesh) baseline is distinct, so hits stay 0 here — the
-            # sweep-shaped hit rate lands under "batched_pricing"
+            # sweep-shaped hits are asserted in
+            # test_rank_weight_sweep_baseline_memo
             "baseline_cache": {
                 "hits": outcome.baseline_cache_hits,
                 "misses": outcome.baseline_cache_misses,
@@ -248,90 +246,25 @@ def test_campaign_default_grid_gate(tmp_path, benchmark):
     )
 
 
-def test_batched_vs_per_cell_speedup(tmp_path, benchmark):
-    """Batched whole-group pricing vs the per-task loop, measured on a
-    rank-weights swept grid (the shape the baseline memo exists for:
-    half the baselines are pure re-prices).  The two paths must write
-    identical deterministic records; the speedup and baseline-cache
-    hit rate land under ``batched_pricing``."""
+def test_rank_weight_sweep_baseline_memo(tmp_path):
+    """On a rank-weights swept grid half the baselines are pure
+    re-prices: the memo must price one baseline per (workload, machine,
+    mesh) cell and serve the other knob value's from memory."""
     spec = default_spec(
         seed=SEED, nests=4, include_corpus=False,
         meshes=MESHES, rank_weights=(True, False),
     )
     tasks = spec.expand()
-    meta = {"spec_digest": spec.digest()}
     cells = len(tasks) // 2  # distinct (workload, machine, mesh)
-
-    def run(name, *, batched):
-        path = str(tmp_path / f"{name}.jsonl")
-        clear_compile_cache()
-        clear_baseline_cache()
-        prev_gp = set_group_pricing(batched)
-        prev_bc = set_baseline_cache_size(512 if batched else 0)
-        t0 = time.perf_counter()
-        try:
-            outcome = run_campaign(
-                tasks, path, CampaignConfig(jobs=1), meta=meta
-            )
-        finally:
-            set_group_pricing(prev_gp)
-            set_baseline_cache_size(prev_bc)
-        wall = time.perf_counter() - t0
-        assert outcome.ok == len(tasks) and outcome.errors == 0
-        _, results = RunStore(path).load()
-        return outcome, results, wall
-
-    per_cell_outcome, per_cell, per_cell_wall = run(
-        "per_cell", batched=False
+    clear_compile_cache()
+    clear_baseline_cache()
+    outcome = run_campaign(
+        tasks, str(tmp_path / "sweep.jsonl"), CampaignConfig(jobs=1),
+        meta={"spec_digest": spec.digest()},
     )
-    batched_outcome, batched, batched_wall = run("batched", batched=True)
-
-    # --- the gate: record-for-record byte identity ---------------------
-    assert set(batched) == set(per_cell)
-    for tid in batched:
-        assert canonical_json(
-            batched[tid].deterministic_dict()
-        ) == canonical_json(per_cell[tid].deterministic_dict()), tid
-
-    # the sweep shape delivers: one baseline priced per cell, the
-    # second knob value's baseline is a memo hit
-    assert batched_outcome.baseline_cache_misses == cells
-    assert batched_outcome.baseline_cache_hits == cells
-    assert per_cell_outcome.baseline_cache_hits == 0
-
-    benchmark(
-        lambda: run_campaign(
-            tasks, str(tmp_path / "b.jsonl"),
-            CampaignConfig(jobs=1), meta=meta,
-        )
-    )
-
-    speedup = per_cell_wall / batched_wall if batched_wall else 0.0
-    hits = batched_outcome.baseline_cache_hits
-    misses = batched_outcome.baseline_cache_misses
-    from _harness import record_bench
-
-    record_bench(
-        "campaign",
-        {
-            "seed": SEED,
-            "tasks": len(tasks),
-            "meshes": ["x".join(str(d) for d in mm) for mm in MESHES],
-            "rank_weights_swept": True,
-            "per_cell_wall_seconds": round(per_cell_wall, 3),
-            "batched_wall_seconds": round(batched_wall, 3),
-            "batched_speedup": round(speedup, 2),
-            "batched_tasks_per_second": round(
-                len(tasks) / batched_wall, 2
-            ),
-            "baseline_cache": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / (hits + misses), 3),
-            },
-        },
-        section="batched_pricing",
-    )
+    assert outcome.ok == len(tasks) and outcome.errors == 0
+    assert outcome.baseline_cache_misses == cells
+    assert outcome.baseline_cache_hits == cells
 
 
 def test_fused_pricing_vs_reference(tmp_path, benchmark):
@@ -345,7 +278,6 @@ def test_fused_pricing_vs_reference(tmp_path, benchmark):
     import pstats
 
     import repro.runtime
-    from repro.campaign import set_group_pricing
     from repro.obs import clear_spans, set_enabled, span_snapshot
 
     spec, tasks = _grid()
@@ -364,13 +296,11 @@ def test_fused_pricing_vs_reference(tmp_path, benchmark):
 
     fused, fused_wall = run("fused")
     fast = repro.runtime.execute
-    prev = set_group_pricing(False)
     repro.runtime.execute = repro.runtime.execute_python
     try:
         reference, _ = run("reference")
     finally:
         repro.runtime.execute = fast
-        set_group_pricing(prev)
 
     # --- the gate: record-for-record byte identity ---------------------
     assert set(fused) == set(reference)

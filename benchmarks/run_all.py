@@ -70,7 +70,8 @@ fast path landed it also *asserts* that ``schedule_is_legal`` has left
 the top-10 hotspot list, and since the cold-compile fast path landed
 (integer FM kernel + dependence memoization) it asserts that pricing,
 not the compile stage, owns the cold profile — compile cumulative time
-below batched pricing and every Fraction-FM helper out of the top-10
+(``_compile_for_task``) below per-task pricing (``_price_task``; a
+missing row fails) and every Fraction-FM helper out of the top-10
 (exit 1 if either compile-side regression ever returns).  Since the
 fused segmented pricing kernels it further asserts the per-phase
 pricing entry point (``phase_time_arrays``) stays below
@@ -235,14 +236,21 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     stats = pstats.Stats(prof)
     rows = _hotspots(stats, top_n)
 
-    by_name: dict = {}
-    for r in rows:
-        by_name.setdefault(r["function"], r)
-    compile_ct = by_name.get("_compile_for_task", {}).get("cumtime_s", 0.0)
-    price_ct = by_name.get("price_group_batched", {}).get("cumtime_s", 0.0)
+    # full-stats cumulative times (not just the top rows) of the two
+    # campaign stages; None when the function never ran
+    def _cumtime(fn_name: str):
+        cts = [
+            ct
+            for (_f, _l, name), (_cc, _nc, _tt, ct, _c) in stats.stats.items()
+            if name == fn_name
+        ]
+        return round(sum(cts), 4) if cts else None
 
-    # full-stats call counts (not just the top rows) for the fused
-    # pricing gate: per-phase pricing calls vs kernel launches
+    compile_ct = _cumtime("_compile_for_task")
+    price_ct = _cumtime("_price_task")
+
+    # full-stats call counts for the fused pricing gate: per-phase
+    # pricing calls vs kernel launches
     def _ncalls(fn_name: str) -> int:
         return sum(
             nc
@@ -310,14 +318,24 @@ def run_profile(top_n: int = PROFILE_TOP_N) -> int:
     # (~0.7 s of Fraction Fourier-Motzkin to compile 16 nests).  With
     # the integer FM kernel + dependence memoization, pricing — the
     # paper-relevant work — must own the profile: the compile stage
-    # stays below the batched pricer in cumulative time, and no
-    # Fraction-arithmetic FM helper re-enters the top-10.  If either
-    # trips, the cold-compile fast path has regressed and the artifact
-    # would drift from the PERFORMANCE.md attribution prose.
-    if price_ct and compile_ct >= price_ct:
+    # (_compile_for_task) stays below the per-task pricer (_price_task)
+    # in cumulative time, and no Fraction-arithmetic FM helper
+    # re-enters the top-10.  If either trips, the cold-compile fast path
+    # has regressed and the artifact would drift from the
+    # PERFORMANCE.md attribution prose.  A stage that never ran is a
+    # broken profile, not a pass.
+    if compile_ct is None or price_ct is None:
+        print(
+            "FAIL: the cold profile has no _compile_for_task or "
+            "_price_task row — the campaign stage gate cannot run "
+            "(see BENCH_profile.json)",
+            file=sys.stderr,
+        )
+        return 1
+    if compile_ct >= price_ct:
         print(
             f"FAIL: compile stage ({compile_ct:.3f}s cumulative) has "
-            f"overtaken batched pricing ({price_ct:.3f}s) in the cold "
+            f"overtaken per-task pricing ({price_ct:.3f}s) in the cold "
             "profile — the integer FM kernel / dependence memo "
             "regressed (see BENCH_profile.json)",
             file=sys.stderr,

@@ -97,6 +97,17 @@ class MappingResult:
                 return o
         raise KeyError(label)
 
+    def classification_of(self, label: str) -> str:
+        """The class of one access: ``local`` for the labels step 1
+        zeroed out, else its residual's step-2 class (``general`` for a
+        label with no residual)."""
+        if label in self.alignment.local_labels:
+            return "local"
+        try:
+            return self.residual_by_label(label).classification
+        except KeyError:
+            return "general"
+
     def describe(self) -> str:
         lines = [self.alignment.describe(), "step 2:"]
         for o in self.optimized:

@@ -45,8 +45,6 @@ from .runner import (
     compile_cache_stats,
     crashed_result,
     execute_task,
-    group_pricing_allowed,
-    price_group_batched,
     run_campaign,
     set_baseline_cache_size,
     set_compile_cache_dir,
@@ -109,8 +107,6 @@ __all__ = [
     "clear_baseline_cache",
     "baseline_cache_stats",
     "set_baseline_cache_size",
-    "group_pricing_allowed",
-    "price_group_batched",
     "set_group_pricing",
     "Executor",
     "ExecutorConfig",

@@ -16,8 +16,8 @@ Worker-side helpers shared by all backends:
   ``REPRO_CAMPAIGN_COMPILE_CACHE`` state the way fork workers do);
 * :func:`run_task_with_retries` — per-task retry of transient failure
   kinds with capped exponential backoff;
-* :func:`run_group` — the sequential group loop every process-based
-  backend ships to its workers.
+* :func:`run_group` — the sequential group loop the ``inline`` and
+  ``pool`` backends run in their worker.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from ...obs import tracing as obs_tracing
 from .. import faults
 from ..runner import (
     execute_task,
-    group_pricing_allowed,
-    price_group_batched,
     set_baseline_cache_size,
     set_compile_cache_dir,
     set_compile_cache_size,
@@ -184,19 +182,11 @@ def run_group(
     first_attempts: Optional[Dict[str, int]] = None,
 ) -> List[TaskResult]:
     """Sequentially run one compile-key group with per-task retries
-    (the in-worker half of every backend; the first task pays the
-    compile, the rest hit the worker's cache).
-
-    Fresh groups take the batched whole-group pricing path when the
-    runner's gates allow it (bit-identical results; see
-    :func:`repro.campaign.runner.price_group_batched`); groups with
-    resumed attempt counts — a crashed worker's second life — keep the
-    per-task loop so retry bookkeeping stays exact."""
+    (the in-worker half of the ``inline`` and ``pool`` backends; the
+    first task pays the compile, the rest hit the worker's cache).
+    ``first_attempts`` resumes the attempt counts a crashed worker
+    already consumed."""
     first_attempts = first_attempts or {}
-    if not first_attempts and group_pricing_allowed(group, config.timeout):
-        results = price_group_batched(group)
-        if results is not None:
-            return results
     return [
         run_task_with_retries(
             task, config, first_attempt=first_attempts.get(task.task_id, 1)

@@ -40,12 +40,7 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...obs import metrics as obs_metrics
-from ..runner import (
-    _failure_result,
-    crashed_result,
-    group_pricing_allowed,
-    price_group_batched,
-)
+from ..runner import _failure_result, crashed_result
 from ..store import TaskResult
 from ..sweep import SweepTask
 from .base import (
@@ -93,29 +88,15 @@ def _supervised_entry(
 
     threading.Thread(target=beat, daemon=True).start()
     try:
-        # fresh groups take the batched whole-group pricing path when
-        # the runner's gates allow (bit-identical results; results
-        # still stream per task so the supervisor's bookkeeping — and
-        # crash durability at the store — is unchanged); a respawned
-        # child resuming attempt counts keeps the per-task loop
-        results: Optional[List[TaskResult]] = None
-        if not first_attempts and group_pricing_allowed(
-            group, config.timeout
-        ):
-            results = price_group_batched(group)
-        if results is not None:
-            for result in results:
-                send(("result", result))
-        else:
-            for task in group:
-                result = run_task_with_retries(
-                    task,
-                    config,
-                    first_attempt=first_attempts.get(task.task_id, 1),
-                    sleep=lambda d: (send(("backoff", d)), time.sleep(d)),
-                    on_attempt=lambda t, a: send(("attempt", t.task_id)),
-                )
-                send(("result", result))
+        for task in group:
+            result = run_task_with_retries(
+                task,
+                config,
+                first_attempt=first_attempts.get(task.task_id, 1),
+                sleep=lambda d: (send(("backoff", d)), time.sleep(d)),
+                on_attempt=lambda t, a: send(("attempt", t.task_id)),
+            )
+            send(("result", result))
         send(("done",))
     finally:
         stop.set()

@@ -31,7 +31,11 @@ stage (per grid cell).  The runner additionally dispatches whole
 compile-key groups to one worker (see
 :func:`~repro.campaign.sweep.group_by_compile_key`), so a grid with K
 machine x mesh cells per nest compiles each nest once instead of K
-times regardless of pool scheduling.  Stored records are byte-identical
+times regardless of pool scheduling.  Within a group every task —
+traced, timed, fault-injected or plain — still prices on its own
+through :func:`execute_task`, so ``TaskResult.seconds`` is that task's
+wall time and a traced run profiles the same path as an untraced one.
+Stored records are byte-identical
 to a recompile-every-cell run (asserted in
 ``tests/campaign/test_compile_cache.py``); cache hits are reported in
 memory only (``TaskResult.compile_cache_hit``,
@@ -60,7 +64,7 @@ import time
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .._config import env_int
 from ..obs import (
@@ -491,18 +495,6 @@ def _price_task(task: SweepTask, cw: _CompiledWorkload) -> TaskResult:
             baseline_time = base_report.total_time
             _baseline_store(bkey, baseline_time)
 
-    return _ok_result(task, cw, report, baseline_time, bhit)
-
-
-def _ok_result(
-    task: SweepTask,
-    cw: _CompiledWorkload,
-    report,
-    baseline_time: float,
-    baseline_hit: bool,
-) -> TaskResult:
-    """The ``status="ok"`` record of one priced task (heuristic
-    ``report`` plus the baseline's total time)."""
     result = TaskResult(
         task_id=task.task_id,
         workload=task.workload.name,
@@ -519,7 +511,7 @@ def _ok_result(
         baseline_residuals=len(cw.baseline.optimized),
         baseline_time=baseline_time,
     )
-    result.baseline_cache_hit = baseline_hit
+    result.baseline_cache_hit = bhit
     return result
 
 
@@ -648,130 +640,12 @@ def crashed_result(
     )
 
 
-# ---------------------------------------------------------------------------
-# batched group pricing — one tensor op per compile-key group
-# ---------------------------------------------------------------------------
-
-#: process-local switch over the batched path (flipped by
-#: :func:`set_group_pricing`)
-_group_pricing_enabled: bool = True
-
-
 def set_group_pricing(enabled: bool) -> bool:
-    """Enable/disable batched whole-group pricing in this process
-    (on by default); returns the previous setting.  Off prices every
-    task through :func:`_price_task`, which looks up
-    ``repro.runtime.execute`` at call time — the hook the reference
-    recording swaps ``execute_python`` into.  Batched and per-task
-    prices are bit-identical (asserted in
-    ``tests/runtime/test_group_pricing.py``), so this switch only
-    trades speed, never results."""
-    global _group_pricing_enabled
-    prev = _group_pricing_enabled
-    _group_pricing_enabled = enabled
-    return prev
-
-
-def group_pricing_allowed(
-    group: Sequence[SweepTask], timeout: Optional[float]
-) -> bool:
-    """Whether a compile-key group may take the batched pricing path.
-
-    The batched path prices all K cells in one pass, so it cannot
-    honour per-task semantics that interleave with pricing: a per-task
-    wall-clock cap, fault injection points, or per-task span capture
-    (tracing attributes spans to individual tasks).  A disabled compile
-    cache would also force K compiles through one path — the per-task
-    loop keeps the compile counters exact there."""
-    return (
-        _group_pricing_enabled
-        and len(group) > 1
-        and timeout is None
-        and _compile_cache_size > 0
-        and faults.active_spec() is None
-        and not obs_tracing.is_enabled()
-    )
-
-
-def price_group_batched(
-    group: Sequence[SweepTask],
-) -> Optional[List[TaskResult]]:
-    """Price one compile-key group with the batched group executor.
-
-    Compiles each task through the ordinary LRU path (one miss + K-1
-    hits, keeping the compile counters exactly as the per-task loop
-    would), prices all K heuristic cells in one
-    :func:`repro.runtime.execute_group` call, then batches the
-    baseline cells that miss the price memo into a second call.
-    Results are bit-identical to K per-cell ``execute()`` runs
-    (``execute`` is the one-cell ``execute_group``).
-
-    Returns ``None`` when the batched attempt cannot proceed — a cell
-    raised, or LRU eviction split the group across compiled objects —
-    and the caller falls back to the per-task loop (which re-serves
-    the compiles from the cache)."""
-    from ..machine import machine_spec
-    from ..runtime import MappedProgram, execute_group
-
-    t0 = time.perf_counter()
-    try:
-        compiled: List[Tuple[SweepTask, _CompiledWorkload, bool]] = []
-        for task in group:
-            cw, hit = _compile_for_task(task)
-            compiled.append((task, cw, hit))
-        cw0 = compiled[0][1]
-        if any(cw is not cw0 for _, cw, _ in compiled):
-            return None
-
-        cells = []
-        for task, cw, _ in compiled:
-            spec = machine_spec(task.machine)
-            machine = spec.make(task.mesh)
-            cells.append(
-                (
-                    cw.compiled.program(machine, cw.params),
-                    machine,
-                    spec.make_collectives(task.mesh),
-                )
-            )
-        reports = execute_group(cells)
-
-        bkeys = [_baseline_price_key(t) for t, _, _ in compiled]
-        lookups = [_baseline_lookup(k) for k in bkeys]
-        btimes = [price for price, _ in lookups]
-        bhits = [hit for _, hit in lookups]
-        miss_idx = [i for i, hit in enumerate(bhits) if not hit]
-        if miss_idx:
-            base_cells = [
-                (
-                    MappedProgram(
-                        mapping=cw0.baseline,
-                        folding=cells[i][0].folding,
-                        params=cw0.params,
-                    ),
-                    cells[i][1],
-                    cells[i][2],
-                )
-                for i in miss_idx
-            ]
-            base_reports = execute_group(base_cells)
-            for i, rep in zip(miss_idx, base_reports):
-                btimes[i] = rep.total_time
-                _baseline_store(bkeys[i], rep.total_time)
-    except Exception:
-        return None
-
-    seconds = (time.perf_counter() - t0) / len(group)
-    results: List[TaskResult] = []
-    for (task, cw, hit), report, btime, bhit in zip(
-        compiled, reports, btimes, bhits
-    ):
-        result = _ok_result(task, cw, report, btime, bhit)
-        result.compile_cache_hit = hit
-        result.seconds = seconds
-        result.attempts = 1
-        results.append(result)
-    return results
+    """No-op, returns ``False``: every task prices through
+    :func:`execute_task` (there is no batched group path to switch).
+    Kept importable because the benchmark's expected-output recording
+    calls it around its ``repro.runtime.execute`` swap."""
+    return False
 
 
 @dataclass

@@ -35,15 +35,6 @@ def _matrix_expr(m, var_names: List[str]) -> str:
     return "(" + ", ".join(rows) + ")"
 
 
-def _classification(result: MappingResult, label: str) -> str:
-    if label in result.alignment.local_labels:
-        return "local"
-    try:
-        return result.residual_by_label(label).classification
-    except KeyError:
-        return "general"
-
-
 def generate_spmd(result: MappingResult) -> str:
     """Emit the SPMD pseudo-program of a mapping."""
     nest = result.alignment.nest
@@ -71,7 +62,7 @@ def generate_spmd(result: MappingResult) -> str:
         lines.append(f"  forall ({loop_txt}) owned by p:")
         for acc in stmt.accesses:
             label = acc.label or acc.array
-            cls = _classification(result, label)
+            cls = result.classification_of(label)
             verb = "recv" if acc.kind is AccessKind.READ else "send"
             target = f"{acc.array}{_matrix_expr(acc.F, vars_)}"
             if cls == "local":

@@ -13,8 +13,9 @@ The report distinguishes, per access:
 * ``translation`` / ``macro`` / ``decomposed`` / ``general`` — as
   classified by step 2 of the heuristic.
 
-:func:`execute_group` is the one vectorized pricing path (:func:`execute`
-is its one-cell case).  It consumes the dense per-access arrays of
+:func:`execute` is the one vectorized pricing path
+(:func:`execute_group` maps it over a list of cells).  It consumes the
+dense per-access arrays of
 :meth:`~repro.runtime.mapping.MappedProgram.comm_batches` (one row per
 element communication; polyhedral domains arrive already masked down to
 their in-domain rows, so the executor never re-enumerates an iteration
@@ -49,7 +50,7 @@ import numpy as np
 
 from ..machine import CM5Model, MachineModel, Message
 from ..obs import span
-from .mapping import CommEvent, MappedProgram, PhaseSegments
+from .mapping import CommBatch, CommEvent, MappedProgram, PhaseSegments
 
 
 @dataclass
@@ -93,16 +94,6 @@ class CommReport:
                 f"macro_ops={s.macro_ops} time={s.time:.1f}"
             )
         return "\n".join(lines)
-
-
-def _classification_of(program: MappedProgram, label: str) -> str:
-    al = program.mapping.alignment
-    if label in al.local_labels:
-        return "local"
-    try:
-        return program.mapping.residual_by_label(label).classification
-    except KeyError:
-        return "general"
 
 
 def _vectorizable(program: MappedProgram, label: str) -> bool:
@@ -193,95 +184,55 @@ def execute(
     macro-communications with hardware collective costs instead (the
     CM-5 situation of Table 1).
 
-    The one-cell case of :func:`execute_group`; the per-event reference
-    implementation is :func:`execute_python` (bit-identical).
+    Each access label owns one batch (label uniqueness is enforced by
+    :meth:`repro.ir.LoopNest.add_statement`) and prices from the batch's
+    memoized :meth:`~repro.runtime.mapping.CommBatch.phase_partition`
+    in one fused kernel call.  Labels price in sorted order and phases
+    in ascending time order, the order of :func:`execute_python`, to
+    which the report is bit-identical.
     """
-    return execute_group([(program, machine, collectives)], payload)[0]
+    rank = program.folding.rank
+    with span("exec.extract"):
+        batches = program.comm_batches()
+
+    per_access: Dict[str, AccessCommStats] = {}
+    # label -> the label's batch, when it has send events
+    priced: Dict[str, CommBatch] = {}
+    for b in batches:
+        if b.n == 0:
+            # no events -> no stats entry, exactly like the per-event
+            # path (which only creates entries while iterating events)
+            continue
+        label = b.access_label
+        if label in per_access:
+            raise ValueError(f"duplicate access label {label!r}")
+        virt_local, phys_local, send = b.locality_masks()
+        per_access[label] = AccessCommStats(
+            label=label,
+            classification=program.mapping.classification_of(label),
+            events=b.n,
+            virtual_local=int(np.count_nonzero(virt_local)),
+            phys_local=int(np.count_nonzero(phys_local)),
+        )
+        if send.any():
+            priced[label] = b
+
+    total = 0.0
+    for label in sorted(priced):
+        seg = priced[label].phase_partition(_vectorizable(program, label))
+        total = _running_sum(total, _price_label(
+            program, machine, collectives, per_access[label], label,
+            seg, payload, rank,
+        ))
+    return _report(per_access, total)
 
 
 def execute_group(
     cells: Sequence[Tuple[MappedProgram, MachineModel, Optional[CM5Model]]],
     payload: int = 1,
 ) -> List[CommReport]:
-    """Price the K machine x mesh cells of one compiled nest — one
-    :class:`CommReport` per cell, each bit-identical to
-    :func:`execute_python` on that cell (property-tested in
-    ``tests/runtime/test_group_pricing.py``).
-
-    Every cell must fold the **same mapping** with the **same size
-    bindings** (the campaign's compile-key group invariant: domains,
-    schedule times and virtual coordinates are shared arrays; only the
-    folded physical coordinates differ per cell), so the virtual-local
-    mask of each access is computed once, on cell 0, and seeded into
-    every cell's batch.  Each access label owns one batch (label
-    uniqueness is enforced by :meth:`repro.ir.LoopNest.add_statement`);
-    each cell prices it from the batch's memoized
-    :meth:`~repro.runtime.mapping.CommBatch.phase_partition` in one
-    fused kernel call.  Labels price in sorted order and phases in
-    ascending time order, the order of :func:`execute_python`.
-    """
-    if not cells:
-        return []
-    programs = [c[0] for c in cells]
-    base = programs[0]
-    for p in programs[1:]:
-        if p.mapping is not base.mapping:
-            raise ValueError(
-                "execute_group needs the cells of one compiled nest: "
-                "all programs must share one mapping object"
-            )
-        if p.params != base.params:
-            raise ValueError(
-                "execute_group needs identical size bindings across "
-                f"cells (got {base.params!r} vs {p.params!r})"
-            )
-
-    K = len(cells)
-    rank = base.folding.rank
-    with span("exec.extract"):
-        batch_lists = [p.comm_batches() for p in programs]
-
-    per_access: List[Dict[str, AccessCommStats]] = [{} for _ in range(K)]
-    # label -> (batch index, per-cell "has send events" flags)
-    priced: Dict[str, Tuple[int, List[bool]]] = {}
-    for bi, b0 in enumerate(batch_lists[0]):
-        if b0.n == 0:
-            # no events -> no stats entry, exactly like the per-event
-            # path (which only creates entries while iterating events)
-            continue
-        label = b0.access_label
-        if label in priced:
-            raise ValueError(f"duplicate access label {label!r}")
-        classification = _classification_of(base, label)
-        virt_local = b0.virtual_local_mask()
-        n_virt_local = int(np.count_nonzero(virt_local))
-        sends = []
-        for k in range(K):
-            b = batch_lists[k][bi]
-            b.__dict__.setdefault("_virt_local", virt_local)
-            _, phys_local, send = b.locality_masks()
-            per_access[k][label] = AccessCommStats(
-                label=label,
-                classification=classification,
-                events=b.n,
-                virtual_local=n_virt_local,
-                phys_local=int(np.count_nonzero(phys_local)),
-            )
-            sends.append(bool(send.any()))
-        priced[label] = (bi, sends)
-
-    totals = [0.0] * K
-    for label in sorted(priced):
-        bi, sends = priced[label]
-        vec = _vectorizable(base, label)
-        for k, (program, machine, coll) in enumerate(cells):
-            if not sends[k]:
-                continue
-            totals[k] = _running_sum(totals[k], _price_label(
-                program, machine, coll, per_access[k][label], label,
-                batch_lists[k][bi].phase_partition(vec), payload, rank,
-            ))
-    return [_report(per_access[k], totals[k]) for k in range(K)]
+    """:func:`execute` on each ``(program, machine, collectives)`` cell."""
+    return [execute(p, m, c, payload) for p, m, c in cells]
 
 
 def execute_python(
@@ -307,7 +258,7 @@ def execute_python(
         if st is None:
             st = AccessCommStats(
                 label=label,
-                classification=_classification_of(program, label),
+                classification=program.mapping.classification_of(label),
             )
             per_access[label] = st
         st.events += 1

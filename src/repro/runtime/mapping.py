@@ -313,9 +313,9 @@ class CommBatch:
         return self.sender_virtual.shape[0]
 
     def virtual_local_mask(self) -> np.ndarray:
-        """Rows local on the *virtual* grid (folding-independent), so
-        the group executor seeds it across the K cells of one
-        compiled nest — their virtual arrays are the same objects."""
+        """Rows local on the *virtual* grid (folding-independent),
+        memoized; all-true without a compare when the access shares its
+        statement's placement array."""
         mask = self.__dict__.get("_virt_local")
         if mask is None:
             if self.sender_virtual is self.receiver_virtual:

@@ -1,8 +1,6 @@
 """Baseline price memo: the Feautrier baseline is rank-weights
 independent, so a knob sweep must price each (workload, m, machine,
 mesh) baseline once — without changing a byte of what lands on disk.
-Also covers the batched whole-group pricing path's record identity
-against the per-task loop.
 """
 
 import pytest
@@ -13,12 +11,10 @@ from repro.campaign import (
     baseline_cache_stats,
     clear_baseline_cache,
     clear_compile_cache,
-    group_pricing_allowed,
     run_campaign,
     set_baseline_cache_size,
-    set_group_pricing,
 )
-from repro.campaign.sweep import canonical_json, default_spec, group_by_compile_key
+from repro.campaign.sweep import canonical_json, default_spec
 
 
 @pytest.fixture(scope="module")
@@ -81,19 +77,6 @@ class TestBaselineCacheBehaviour:
         assert outcome.baseline_cache_hits == 0
         assert outcome.baseline_cache_misses == len(rw_sweep_grid)
 
-    def test_cache_hits_on_per_task_path_too(self, rw_sweep_grid, tmp_path):
-        prev = set_group_pricing(False)
-        try:
-            outcome = run_campaign(
-                rw_sweep_grid, str(tmp_path / "pt.jsonl"),
-                CampaignConfig(jobs=1), meta={},
-            )
-        finally:
-            set_group_pricing(prev)
-        cells = len(rw_sweep_grid) // 2
-        assert outcome.baseline_cache_hits == cells
-        assert outcome.baseline_cache_misses == cells
-
     def test_lru_eviction_bounds_entries(self, rw_sweep_grid, tmp_path):
         prev = set_baseline_cache_size(2)
         try:
@@ -106,54 +89,35 @@ class TestBaselineCacheBehaviour:
             set_baseline_cache_size(prev)
 
 
-class TestGroupPricingGates:
-    def test_allowed_on_plain_multi_cell_group(self, rw_sweep_grid):
-        groups = group_by_compile_key(rw_sweep_grid)
-        assert group_pricing_allowed(groups[0], timeout=None)
-
-    def test_blocked_by_timeout_switch_and_size(self, rw_sweep_grid):
-        groups = group_by_compile_key(rw_sweep_grid)
-        group = groups[0]
-        assert not group_pricing_allowed(group, timeout=30.0)
-        assert not group_pricing_allowed(group[:1], timeout=None)
-        prev = set_group_pricing(False)
-        try:
-            assert not group_pricing_allowed(group, timeout=None)
-        finally:
-            set_group_pricing(prev)
-
-
 class TestGoldenByteIdentity:
-    def test_batched_records_identical_to_per_task(self, rw_sweep_grid, tmp_path):
-        """The golden check: a batched-group campaign and a per-task
-        campaign (group pricing off, baseline cache off) write records
-        whose deterministic payloads serialize to identical bytes."""
-        batched_path = str(tmp_path / "batched.jsonl")
+    def test_memo_records_identical_to_unmemoized(self, rw_sweep_grid, tmp_path):
+        """The golden check: a campaign with the baseline memo on and
+        one with it off write records whose deterministic payloads
+        serialize to identical bytes."""
+        memo_path = str(tmp_path / "memo.jsonl")
         plain_path = str(tmp_path / "plain.jsonl")
 
         run_campaign(
-            rw_sweep_grid, batched_path, CampaignConfig(jobs=1), meta={}
+            rw_sweep_grid, memo_path, CampaignConfig(jobs=1), meta={}
         )
         clear_compile_cache()
         clear_baseline_cache()
-        prev_gp = set_group_pricing(False)
         prev_bc = set_baseline_cache_size(0)
         try:
             run_campaign(
                 rw_sweep_grid, plain_path, CampaignConfig(jobs=1), meta={}
             )
         finally:
-            set_group_pricing(prev_gp)
             set_baseline_cache_size(prev_bc)
 
-        _, batched = RunStore(batched_path).load()
+        _, memo = RunStore(memo_path).load()
         _, plain = RunStore(plain_path).load()
-        assert set(batched) == set(plain) == {
+        assert set(memo) == set(plain) == {
             t.task_id for t in rw_sweep_grid
         }
-        for tid in batched:
+        for tid in memo:
             assert canonical_json(
-                batched[tid].deterministic_dict()
+                memo[tid].deterministic_dict()
             ) == canonical_json(plain[tid].deterministic_dict()), tid
 
     def test_hit_flag_never_reaches_disk(self, rw_sweep_grid, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import signal
+import time
 
 import pytest
 
@@ -232,11 +233,11 @@ class TestPerTaskPricingHook:
     def test_per_task_path_prices_through_runtime_execute(
         self, small_grid, tmp_path, monkeypatch
     ):
-        """With group pricing off, every price goes through the
-        ``repro.runtime.execute`` name looked up at call time — the hook
-        that lets a campaign be priced by a reference executor."""
+        """Every price goes through the ``repro.runtime.execute`` name
+        looked up at call time — the hook that lets a campaign be
+        priced by a reference executor."""
         import repro.runtime
-        from repro.campaign import clear_baseline_cache, set_group_pricing
+        from repro.campaign import clear_baseline_cache
 
         _, tasks = small_grid
         calls = []
@@ -247,14 +248,96 @@ class TestPerTaskPricingHook:
             return fast(*args, **kwargs)
 
         clear_baseline_cache()
-        prev = set_group_pricing(False)
-        try:
-            monkeypatch.setattr(repro.runtime, "execute", counted)
-            outcome = run_campaign(
-                tasks, str(tmp_path / "hooked.jsonl"), CampaignConfig(jobs=1)
-            )
-        finally:
-            set_group_pricing(prev)
+        monkeypatch.setattr(repro.runtime, "execute", counted)
+        outcome = run_campaign(
+            tasks, str(tmp_path / "hooked.jsonl"), CampaignConfig(jobs=1)
+        )
         assert outcome.ok == len(tasks)
         # one heuristic price per task plus one per baseline-memo miss
         assert len(calls) == len(tasks) + outcome.baseline_cache_misses
+
+    def test_seconds_are_each_tasks_own_wall_time(
+        self, tmp_path, monkeypatch
+    ):
+        """A task's ``seconds`` is its own wall time: slowing one
+        machine's pricing shows up in that machine's records and
+        summary rows only."""
+        import repro.runtime
+        from repro.campaign import (
+            clear_baseline_cache,
+            clear_compile_cache,
+            summarize_results,
+        )
+
+        spec = default_spec(
+            seed=0, nests=2, include_corpus=False,
+            machines=("paragon", "cm5"), meshes=((2, 2),),
+        )
+        tasks = spec.expand()
+        clear_compile_cache()
+        clear_baseline_cache()
+        # warm the compile and baseline caches so no task pays a compile
+        run_campaign(tasks, str(tmp_path / "warm.jsonl"), CampaignConfig())
+        fast = repro.runtime.execute
+
+        def slow_paragon(program, machine, collectives=None, **kwargs):
+            if collectives is None:  # only cm5 cells price collectives
+                time.sleep(0.05)
+            return fast(program, machine, collectives=collectives, **kwargs)
+
+        monkeypatch.setattr(repro.runtime, "execute", slow_paragon)
+        path = str(tmp_path / "timed.jsonl")
+        outcome = run_campaign(tasks, path, CampaignConfig())
+        assert outcome.ok == len(tasks)
+        _, results = RunStore(path).load()
+        by_machine = {"paragon": [], "cm5": []}
+        for r in results.values():
+            by_machine[r.machine].append(r.seconds)
+        assert min(by_machine["paragon"]) > max(by_machine["cm5"])
+        rows = {
+            row["machine"]: row for row in summarize_results(results.values())
+        }
+        assert rows["paragon"]["seconds"] > rows["cm5"]["seconds"]
+        assert (
+            rows["paragon"]["tasks_per_second"]
+            < rows["cm5"]["tasks_per_second"]
+        )
+
+    def test_tracing_prices_through_the_same_path(
+        self, tmp_path, monkeypatch
+    ):
+        """A traced and an untraced campaign price every task through
+        the same ``repro.runtime.execute`` calls and store the same
+        records (on compile-key groups of 4 cells)."""
+        import repro.runtime
+        from repro.campaign import clear_baseline_cache, clear_compile_cache
+
+        tasks = default_spec(
+            seed=0, nests=3, include_corpus=False,
+            meshes=((4, 4), (2, 2)),
+        ).expand()
+        fast = repro.runtime.execute
+
+        def run(tag, trace):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args[0])
+                return fast(*args, **kwargs)
+
+            clear_compile_cache()
+            clear_baseline_cache()
+            monkeypatch.setattr(repro.runtime, "execute", counted)
+            path = str(tmp_path / f"{tag}.jsonl")
+            config = CampaignConfig(
+                trace=str(tmp_path / f"{tag}.trace.jsonl") if trace else None
+            )
+            outcome = run_campaign(tasks, path, config)
+            assert outcome.ok == len(tasks)
+            _, results = RunStore(path).load()
+            return len(calls), _deterministic(results)
+
+        plain_calls, plain = run("plain", trace=False)
+        traced_calls, traced = run("traced", trace=True)
+        assert plain_calls == traced_calls >= len(tasks)
+        assert plain == traced

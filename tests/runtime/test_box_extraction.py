@@ -29,7 +29,7 @@ from repro.ir.loopnest import Bound, LoopDim
 from repro.runtime import count_nonlocal_virtual
 from repro.runtime.mapping import _box_affine, _box_inside
 
-from test_group_pricing import compile_cells
+from pricing_cells import compile_cells
 
 
 def _loop(var, lo, hi):

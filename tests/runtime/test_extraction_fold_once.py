@@ -27,7 +27,7 @@ from repro.machine import ParagonModel
 from repro.runtime import mapping
 from repro.runtime.mapping import Folding, MappedProgram
 
-from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
+from pricing_cells import CELLS_2D, CELLS_3D, compile_cells
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 The segmented kernel (`phase_times_segmented`) must be
 **bit-identical** per phase to the per-link oracle `phase_time_python`,
 and the executor
-that feeds it (`execute` / `execute_group`) to the per-event reference
+that feeds it (`execute`) to the per-event reference
 `execute_python` — every ``CommReport``/``PhaseReport`` float compares
 exactly, over rectangular and triangular corpora, 2-D and 3-D machines,
 macro/collective labels and the campaign store payloads.
@@ -22,7 +22,6 @@ from repro.campaign import (
     clear_baseline_cache,
     default_spec,
     run_campaign,
-    set_group_pricing,
 )
 from repro.campaign.sweep import canonical_json
 from repro.campaign.workloads import (
@@ -46,7 +45,7 @@ from repro.obs import clear_spans, set_enabled, span_snapshot
 from repro.runtime import execute, execute_group, execute_python
 from repro.runtime.executor import _running_sum, _vectorizable
 
-from test_group_pricing import CELLS_2D, CELLS_3D, compile_cells
+from pricing_cells import CELLS_2D, CELLS_3D, compile_cells
 
 PARAMS = {"N": 3, "M": 3}
 
@@ -169,16 +168,12 @@ class TestKernelBitIdentity:
 
 
 def assert_segmented_matches_baseline(cells):
-    """execute() and execute_group() vs the per-event reference
-    execute_python(): every report equal, float for float."""
-    fused = [execute(p, m, collectives=c) for p, m, c in cells]
-    fused_group = execute_group(cells)
-    base = [execute_python(p, m, collectives=c) for p, m, c in cells]
-    for (program, machine, _), got, got_g, want in zip(
-        cells, fused, fused_group, base
-    ):
+    """execute() vs the per-event reference execute_python(): every
+    report equal, float for float."""
+    for program, machine, coll in cells:
+        got = execute(program, machine, collectives=coll)
+        want = execute_python(program, machine, collectives=coll)
         assert got == want, (machine, program.folding.mesh.dims)
-        assert got_g == want, (machine, program.folding.mesh.dims)
 
 
 class TestRunningSum:
@@ -212,6 +207,16 @@ class TestRunningSum:
 
     def test_no_times(self):
         assert _running_sum(2.5, np.empty(0)) == 2.5
+
+
+class TestExecuteGroup:
+    def test_maps_execute_over_cells(self):
+        [workload] = [w for w in corpus() if w.name == "example1"]
+        cells = compile_cells(workload, 2, CELLS_2D)
+        assert execute_group(cells) == [
+            execute(p, m, collectives=c) for p, m, c in cells
+        ]
+        assert execute_group([]) == []
 
 
 class TestExecutorBitIdentityRect:
@@ -291,9 +296,8 @@ class TestSpanTaxonomy:
 class TestStoreGolden:
     def test_campaign_store_identical_on_and_off(self, tmp_path, monkeypatch):
         """The canonical-json record payload of a small campaign is
-        byte-identical with group pricing on (the production path) and
-        off with every task priced by the per-event reference
-        executor."""
+        byte-identical priced by ``execute`` (the production path) and
+        with every task priced by the per-event reference executor."""
         spec = default_spec(seed=0, nests=2, meshes=((2, 2),))
         tasks = spec.expand()
 
@@ -309,10 +313,6 @@ class TestStoreGolden:
             return hashlib.sha1(payload.encode()).hexdigest()
 
         fast = digest("fast")
-        prev = set_group_pricing(False)
-        try:
-            monkeypatch.setattr(repro.runtime, "execute", execute_python)
-            reference = digest("reference")
-        finally:
-            set_group_pricing(prev)
+        monkeypatch.setattr(repro.runtime, "execute", execute_python)
+        reference = digest("reference")
         assert fast == reference

@@ -77,6 +77,19 @@ class TestBaselineCacheBehaviour:
         assert outcome.baseline_cache_hits == 0
         assert outcome.baseline_cache_misses == len(rw_sweep_grid)
 
+    def test_cache_hits_on_per_task_path_too(self, rw_sweep_grid, tmp_path):
+        # a per-task wall-clock timeout wraps each task in its own
+        # timer; the memo must still see every knob re-price
+        outcome = run_campaign(
+            rw_sweep_grid, str(tmp_path / "pt.jsonl"),
+            CampaignConfig(jobs=1, timeout=60.0), meta={},
+        )
+        cells = len(rw_sweep_grid) // 2
+        assert outcome.errors == 0
+        assert outcome.timeouts == 0
+        assert outcome.baseline_cache_hits == cells
+        assert outcome.baseline_cache_misses == cells
+
     def test_lru_eviction_bounds_entries(self, rw_sweep_grid, tmp_path):
         prev = set_baseline_cache_size(2)
         try:

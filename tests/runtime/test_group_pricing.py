@@ -1,6 +1,9 @@
-"""Batched whole-group pricing: ``execute_group`` must be bit-identical
-to K per-cell ``execute()`` runs — over rectangular *and* triangular
-corpora, generated workloads, 2-D and 3-D machines.
+"""Whole-group pricing: ``execute_group`` prices a list of
+``(program, machine, collectives)`` cells one ``execute()`` call per
+cell, so its reports must be bit-identical to K per-cell ``execute()``
+runs and to the per-event reference ``execute_python`` — over
+rectangular *and* triangular corpora, generated workloads, 2-D and 3-D
+machines.
 
 ``CommReport``/``AccessCommStats`` are plain dataclasses with default
 equality, so ``report_a == report_b`` compares every float exactly —
@@ -18,55 +21,19 @@ from repro.campaign.workloads import (
 )
 from repro.ir import motivating_example
 from repro.machine import machine_spec
-from repro.runtime import execute, execute_group
+from repro.runtime import execute, execute_group, execute_python
 
-#: 2-D grid cells shared by the property tests: two machine models,
-#: square and non-square meshes
-CELLS_2D = [
-    ("paragon", (4, 4)),
-    ("paragon", (3, 2)),
-    ("cm5", (4, 4)),
-    ("cm5", (2, 2)),
-]
-CELLS_3D = [
-    ("t3d", (2, 2, 2)),
-    ("t3d", (3, 2, 2)),
-]
-
-
-def compile_cells(workload, m, grid):
-    """Compile a workload once and fold it onto every (machine, mesh)
-    cell — the campaign's compile-key group invariant."""
-    nest = workload.resolve()
-    schedules = workload.resolve_schedules(nest)
-    params = dict(workload.params)
-    compiled = compile_nest(
-        nest,
-        m=m,
-        schedules=schedules,
-        params=params,
-        check_legality=workload.check_legality,
-        name=workload.name,
-    )
-    cells = []
-    for name, mesh in grid:
-        spec = machine_spec(name)
-        machine = spec.make(mesh)
-        cells.append(
-            (
-                compiled.program(machine, params),
-                machine,
-                spec.make_collectives(mesh),
-            )
-        )
-    return cells
+from pricing_cells import CELLS_2D, CELLS_3D, compile_cells
 
 
 def assert_group_matches_per_cell(cells):
     batched = execute_group(cells)
+    assert len(batched) == len(cells)
     for (program, machine, coll), got in zip(cells, batched):
         want = execute(program, machine, collectives=coll)
         assert got == want, (machine, program.folding.mesh.dims)
+        reference = execute_python(program, machine, collectives=coll)
+        assert got == reference, (machine, program.folding.mesh.dims)
 
 
 class TestBitIdentityRect:
@@ -116,47 +83,52 @@ class TestBitIdentity3D:
             )
 
 
+def _paragon_cell(compiled, params):
+    spec = machine_spec("paragon")
+    machine = spec.make((4, 4))
+    return (
+        compiled.program(machine, params),
+        machine,
+        spec.make_collectives((4, 4)),
+    )
+
+
 class TestGroupContract:
     def test_empty_group(self):
         assert execute_group([]) == []
 
     def test_single_cell_delegates_to_execute(self):
         compiled = compile_nest(motivating_example(), m=2)
-        params = {"N": 8, "M": 8}
-        spec = machine_spec("paragon")
-        machine = spec.make((4, 4))
-        cell = (
-            compiled.program(machine, params),
-            machine,
-            spec.make_collectives((4, 4)),
-        )
+        cell = _paragon_cell(compiled, {"N": 8, "M": 8})
         [got] = execute_group([cell])
         assert got == execute(cell[0], cell[1], collectives=cell[2])
 
-    def test_mismatched_mappings_rejected(self):
+    def test_distinct_mappings_priced_per_cell(self):
+        """Cells need not share one mapping: two separate compiles of
+        the same nest are each priced on their own, in order."""
         params = {"N": 8, "M": 8}
-        spec = machine_spec("paragon")
-        machine = spec.make((4, 4))
-        cells = []
-        for _ in range(2):  # two separate compiles: distinct mappings
-            compiled = compile_nest(motivating_example(), m=2)
-            cells.append(
-                (
-                    compiled.program(machine, params),
-                    machine,
-                    spec.make_collectives((4, 4)),
-                )
-            )
-        with pytest.raises(ValueError, match="share one mapping"):
-            execute_group(cells)
-
-    def test_mismatched_params_rejected(self):
-        compiled = compile_nest(motivating_example(), m=2)
-        spec = machine_spec("paragon")
-        machine = spec.make((4, 4))
         cells = [
-            (compiled.program(machine, {"N": 8, "M": 8}), machine, None),
-            (compiled.program(machine, {"N": 9, "M": 9}), machine, None),
+            _paragon_cell(compile_nest(motivating_example(), m=2), params)
+            for _ in range(2)
         ]
-        with pytest.raises(ValueError, match="size bindings"):
-            execute_group(cells)
+        assert cells[0][0].mapping is not cells[1][0].mapping
+        assert execute_group(cells) == [
+            execute(p, m, collectives=c) for p, m, c in cells
+        ]
+
+    def test_distinct_params_priced_per_cell(self):
+        """Cells need not share size bindings: each report counts the
+        events of its own program's sizes."""
+        compiled = compile_nest(motivating_example(), m=2)
+        cells = [
+            _paragon_cell(compiled, {"N": 8, "M": 8}),
+            _paragon_cell(compiled, {"N": 9, "M": 9}),
+        ]
+        small, large = execute_group(cells)
+        assert small == execute(
+            cells[0][0], cells[0][1], collectives=cells[0][2]
+        )
+        assert large == execute(
+            cells[1][0], cells[1][1], collectives=cells[1][2]
+        )
+        assert small != large
